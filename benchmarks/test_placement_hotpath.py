@@ -11,14 +11,16 @@ This benchmark pins the two claims of the incremental-placement fast path
 2. **Busy-cloud replays are placement-dominated no more.**  The replay's
    workload alternates *anchor* jobs (51 qubits, spanning all six QPUs for a
    long stretch) with bursts of *filler* jobs (9 qubits).  While an anchor
-   runs, the cloud's free capacity is fragmented dust -- 9 qubits spread so
-   that every (imbalance, num_parts) candidate of a filler attempt fails --
-   so each filler keeps failing until the anchor completes.  Without the fast
-   path, every arrival re-attempts every pending filler from scratch
-   (O(burst^2) full pipeline runs per cycle at one frozen resource version);
-   with it, re-attempts whose failure signature is unchanged are skipped.
-   Both modes are bit-identical under a fixed seed, which this benchmark and
-   the regression tests assert.
+   runs, the cloud's free capacity is fragmented dust -- 9 qubits spread one
+   or two per QPU, so that no (imbalance, num_parts) candidate of a filler
+   attempt succeeds: the prefilter rejects the num_parts=5 half before
+   partitioning (the 9 qubits need all six QPUs), and the num_parts=6 half
+   fails in mapping -- so each filler keeps failing until the anchor
+   completes.  Without the fast path, every arrival re-attempts every
+   pending filler from scratch (O(burst^2) full pipeline runs per cycle at
+   one frozen resource version); with it, re-attempts whose failure
+   signature is unchanged are skipped.  Both modes are bit-identical under
+   a fixed seed, which this benchmark and the regression tests assert.
 
 Scale constants are at acceptance scale already (the 5000-job busy-cloud
 replay); ``scripts/bench_report.py`` reuses the same trace builder at a
@@ -53,8 +55,9 @@ FILLER = "ghz_n9"
 CYCLES = 295
 FILLERS_PER_CYCLE = 16
 SIM_SEED = 1
-#: Trimmed Algorithm 1 search grid: keeps one failed attempt ~3 ms so the
-#: from-scratch baseline leg of the A/B finishes in CI-tolerable time.
+#: Trimmed Algorithm 1 search grid: keeps a failed attempt to about a
+#: millisecond so the from-scratch baseline leg of the A/B finishes in
+#: CI-tolerable time.
 PLACEMENT_KWARGS = dict(imbalance_factors=(0.05, 0.30), max_extra_parts=2)
 MIN_REPLAY_SPEEDUP = 5.0
 MIN_WARM_SPEEDUP = 3.0

@@ -6,10 +6,16 @@ from .modularity import (
     total_edge_weight,
     weighted_degrees,
 )
-from .louvain import best_partition, louvain_communities, louvain_modularity
+from .louvain import (
+    best_partition,
+    louvain_communities,
+    louvain_graph,
+    louvain_modularity,
+)
 from .greedy import greedy_modularity_communities
 from .detection import (
     CommunityError,
+    adjacency_center,
     community_capacity,
     detect_communities,
     expand_community,
@@ -19,6 +25,7 @@ from .detection import (
 
 __all__ = [
     "CommunityError",
+    "adjacency_center",
     "best_partition",
     "community_capacity",
     "detect_communities",
@@ -26,6 +33,7 @@ __all__ = [
     "graph_center",
     "greedy_modularity_communities",
     "louvain_communities",
+    "louvain_graph",
     "louvain_modularity",
     "modularity",
     "modularity_from_assignment",

@@ -9,7 +9,7 @@ future jobs.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Sequence, Set
+from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 import networkx as nx
 
@@ -39,15 +39,52 @@ def graph_center(graph: nx.Graph, nodes: Optional[Sequence[Hashable]] = None) ->
     disconnected subgraphs fall back to the largest component.
     """
     subgraph = graph if nodes is None else graph.subgraph(nodes)
-    if subgraph.number_of_nodes() == 0:
+    return adjacency_center(subgraph.adj)
+
+
+def adjacency_center(adjacency: Mapping[Hashable, Iterable[Hashable]]) -> Hashable:
+    """:func:`graph_center` of a graph given as a node -> neighbours mapping.
+
+    Ties in component size go to the first component in node order, as with
+    ``max(nx.connected_components(...), key=len)``; ties in eccentricity to
+    the smallest ``str(node)``.  Eccentricities come from one plain
+    breadth-first search per node: the graphs here (QPU candidate sets,
+    quotient graphs of a partition) have a handful of nodes, where networkx's
+    per-call dispatch costs more than the search.
+    """
+    if not adjacency:
         raise ValueError("cannot compute the center of an empty graph")
-    if subgraph.number_of_nodes() == 1:
-        return next(iter(subgraph.nodes()))
-    if not nx.is_connected(subgraph):
-        largest = max(nx.connected_components(subgraph), key=len)
-        subgraph = subgraph.subgraph(largest)
-    eccentricity = nx.eccentricity(subgraph)
+    largest: List[Hashable] = []
+    reached: Set[Hashable] = set()
+    for source in adjacency:
+        if source not in reached:
+            component, _ = _breadth_first(adjacency, source)
+            reached.update(component)
+            if len(component) > len(largest):
+                largest = component
+    eccentricity = {node: _breadth_first(adjacency, node)[1] for node in largest}
     return min(eccentricity, key=lambda node: (eccentricity[node], str(node)))
+
+
+def _breadth_first(
+    adjacency: Mapping[Hashable, Iterable[Hashable]], source: Hashable
+) -> Tuple[List[Hashable], int]:
+    """The nodes reachable from ``source`` and its eccentricity among them."""
+    seen = {source}
+    order = [source]
+    frontier = [source]
+    depth = -1
+    while frontier:
+        depth += 1
+        level = []
+        for node in frontier:
+            for neighbor in adjacency[node]:
+                if neighbor not in seen:
+                    seen.add(neighbor)
+                    level.append(neighbor)
+        order.extend(level)
+        frontier = level
+    return order, depth
 
 
 def community_capacity(resource_graph: nx.Graph, community: Set[Hashable]) -> int:

@@ -4,54 +4,65 @@ A self-contained implementation of the two-phase Louvain heuristic: local
 moving of nodes between communities to greedily maximise modularity, followed
 by community aggregation, repeated until modularity stops improving.  The
 local-moving phase is the hot loop of CloudQC's placement-attempt pipeline
-(it runs for every community-detection cache miss), so it operates on flat
-CSR-style arrays; it is written to stay bit-identical to the reference
-dict-based formulation, RNG call sequence included.
+(it runs for every community-detection cache miss), so every level is a
+:class:`~repro.partition.FlatGraph` of per-node lists; it is written to stay
+bit-identical to the reference networkx formulation, RNG call sequence
+included.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Set
+from typing import Dict, Hashable, List, Optional, Set, Union
 
 import networkx as nx
 import numpy as np
 
-from .modularity import modularity, total_edge_weight
+from ..partition.flat import FlatGraph
+from .modularity import modularity
+
+
+def louvain_graph(graph: nx.Graph) -> FlatGraph:
+    """Louvain's first level for ``graph``: its edges re-added with float weights.
+
+    It does not depend on the seed, so a caller that runs Louvain on one graph
+    under many seeds can build it once and pass it to
+    :func:`louvain_communities` instead of the graph.
+    """
+    normalised = nx.Graph()
+    normalised.add_nodes_from(graph.nodes())
+    for a, b, data in graph.edges(data=True):
+        normalised.add_edge(a, b, weight=float(data.get("weight", 1.0)))
+    return FlatGraph.of(normalised)
 
 
 def louvain_communities(
-    graph: nx.Graph,
+    graph: Union[nx.Graph, FlatGraph],
     seed: Optional[int] = None,
     resolution: float = 1.0,
     max_levels: int = 10,
 ) -> List[Set[Hashable]]:
     """Detect communities with the Louvain method.
 
-    Returns a list of disjoint node sets covering the graph, ordered by
-    decreasing size.  ``resolution`` > 1 favours smaller communities.
+    ``graph`` is a networkx graph or its :func:`louvain_graph`.  Returns a
+    list of disjoint node sets covering the graph, ordered by decreasing
+    size.  ``resolution`` > 1 favours smaller communities.
     """
-    if graph.number_of_nodes() == 0:
+    working = graph if isinstance(graph, FlatGraph) else louvain_graph(graph)
+    if not len(working):
         return []
     rng = np.random.default_rng(seed)
-    # membership maps original node -> community label across aggregation
-    # levels.  Level 1's labels are the working graph's own node labels (the
-    # original nodes); later levels use the dense ids _aggregate mints.
-    # Initialising with enumeration indices instead only works when node
-    # labels happen to equal their iteration index -- it breaks (KeyError)
-    # on graphs with holes in the labelling, e.g. a resource graph after a
-    # QPU left the fleet.
-    membership: Dict[Hashable, int] = {node: node for node in graph.nodes()}
-    working = _normalise(graph)
+    # membership maps original node -> its node position in the working level.
+    membership: Dict[Hashable, int] = {
+        node: position for position, node in enumerate(working.labels)
+    }
 
     for _ in range(max_levels):
         local = _local_moving(working, rng, resolution)
-        if len(set(local.values())) == working.number_of_nodes():
+        if len(set(local)) == len(working):
             break  # no merge happened at this level
-        membership = {
-            node: local[membership[node]] for node in membership
-        }
+        membership = {node: local[membership[node]] for node in membership}
         working = _aggregate(working, local)
-        if working.number_of_nodes() <= 1:
+        if len(working) <= 1:
             break
 
     groups: Dict[int, Set[Hashable]] = {}
@@ -60,93 +71,56 @@ def louvain_communities(
     return sorted(groups.values(), key=len, reverse=True)
 
 
-def _normalise(graph: nx.Graph) -> nx.Graph:
-    normalised = nx.Graph()
-    normalised.add_nodes_from(graph.nodes())
-    for a, b, data in graph.edges(data=True):
-        normalised.add_edge(a, b, weight=float(data.get("weight", 1.0)))
-    return normalised
-
-
 def _local_moving(
-    graph: nx.Graph, rng: np.random.Generator, resolution: float
-) -> Dict[Hashable, int]:
+    graph: FlatGraph, rng: np.random.Generator, resolution: float
+) -> List[int]:
     """Phase 1: move nodes between communities while modularity improves.
 
-    The hot loop runs on flat CSR-style arrays (node -> index, concatenated
-    neighbor/weight arrays, degree and community-degree vectors) instead of
-    per-node networkx dict iteration.  It is engineered to be *bit-identical*
-    to the dict-based formulation it replaced: neighbor order matches the
-    adjacency insertion order, per-community weights accumulate in the same
-    order, the modularity-gain expressions keep the same operation order, and
-    the per-sweep shuffle consumes the RNG exactly as before (a length-n list
-    shuffle), so seeded community structure is unchanged.
+    Returns each node's dense community id.  Neighbours are visited in
+    adjacency order, per-community weights accumulate in first-seen order,
+    the modularity-gain expressions keep their operation order, and each
+    sweep shuffles a length-n list, so seeded community structure is exactly
+    that of the networkx formulation.
     """
-    m = total_edge_weight(graph)
+    # networkx's total edge weight and weighted degree (self-loops twice),
+    # summed in its iteration order.
+    m = sum(w for _, _, w in graph.edges())
+    n = len(graph)
     if m == 0:
-        return {node: index for index, node in enumerate(graph.nodes())}
-
-    nodes = list(graph.nodes())
-    n = len(nodes)
-    index_of = {node: index for index, node in enumerate(nodes)}
-
-    # CSR adjacency in exactly the order graph[node].items() would yield it.
-    starts = np.empty(n + 1, dtype=np.int64)
-    neighbor_list: List[int] = []
-    weight_list: List[float] = []
-    starts[0] = 0
-    for u, node in enumerate(nodes):
-        for neighbor, data in graph[node].items():
-            neighbor_list.append(index_of[neighbor])
-            weight_list.append(float(data.get("weight", 1.0)))
-        starts[u + 1] = len(neighbor_list)
-    neighbors = np.asarray(neighbor_list, dtype=np.int64)
-    weights = np.asarray(weight_list, dtype=np.float64)
-
-    degrees = {node: float(value) for node, value in graph.degree(weight="weight")}
-    degree = np.array([degrees[node] for node in nodes], dtype=np.float64)
-    community = np.arange(n, dtype=np.int64)
-    community_degree = degree.copy()
-
-    # Scratch arrays for the per-node community-weight accumulation: ``stamp``
-    # marks which entries of ``comm_weight`` belong to the current node, so no
-    # O(n) clearing is needed between nodes.
-    comm_weight = np.zeros(n, dtype=np.float64)
-    stamp = np.full(n, -1, dtype=np.int64)
+        return list(range(n))
+    nbrs, wts = graph.nbrs, graph.wts
+    degree = [
+        float(total + (u in row and weights[row.index(u)]))
+        for u, (total, row, weights) in enumerate(zip(graph.degree, nbrs, wts))
+    ]
+    community = list(range(n))
+    community_degree = list(degree)
     two_m = 2.0 * m
 
     improved = True
     iterations = 0
-    token = 0
     while improved and iterations < 50:
         improved = False
         iterations += 1
         order = list(range(n))
         rng.shuffle(order)
         for u in order:
-            token += 1
-            current = int(community[u])
+            current = community[u]
             deg_u = degree[u]
-            # Weight from node to each neighbouring community, preserving the
-            # first-seen community order of the dict-based version.
-            seen: List[int] = []
-            for pos in range(starts[u], starts[u + 1]):
-                v = neighbors[pos]
+            # Weight from node to each neighbouring community, first seen first.
+            links: Dict[int, float] = {}
+            for v, w in zip(nbrs[u], wts[u]):
                 if v == u:
                     continue
-                c = int(community[v])
-                if stamp[c] != token:
-                    stamp[c] = token
-                    comm_weight[c] = 0.0
-                    seen.append(c)
-                comm_weight[c] += weights[pos]
+                c = community[v]
+                links[c] = links.get(c, 0.0) + w
             # Remove node from its community.
             community_degree[current] -= deg_u
-            weight_to_current = comm_weight[current] if stamp[current] == token else 0.0
+            weight_to_current = links.get(current, 0.0)
             best_community = current
             best_gain = 0.0
-            for candidate in seen:
-                gain = comm_weight[candidate] - resolution * community_degree[
+            for candidate, weight in links.items():
+                gain = weight - resolution * community_degree[
                     candidate
                 ] * deg_u / two_m
                 baseline = weight_to_current - resolution * (
@@ -161,27 +135,32 @@ def _local_moving(
                 improved = True
     # Relabel community ids to be dense.
     # detlint: ignore[DET003] community ids are distinct ints; sorted() output is canonical regardless of set order
-    relabel = {c: i for i, c in enumerate(sorted(set(community.tolist())))}
-    return {node: relabel[int(community[u])] for u, node in enumerate(nodes)}
+    relabel = {c: i for i, c in enumerate(sorted(set(community)))}
+    return [relabel[c] for c in community]
 
 
-def _aggregate(graph: nx.Graph, community: Dict[Hashable, int]) -> nx.Graph:
+def _aggregate(graph: FlatGraph, community: List[int]) -> FlatGraph:
     """Phase 2: collapse communities into super-nodes.
 
     Intra-community weight is preserved as a self-loop on the super-node, so
     the next level's modularity gains account for already-merged structure
-    (dropping it makes Louvain over-merge into one giant community).
+    (dropping it makes Louvain over-merge into one giant community).  Edges
+    are merged in networkx's edge order and each super-node's adjacency is in
+    edge-creation order, as ``nx.Graph.add_edge`` would build it.
     """
-    aggregated = nx.Graph()
-    aggregated.add_nodes_from(set(community.values()))
-    for a, b, data in graph.edges(data=True):
-        ca, cb = community[a], community[b]
-        weight = float(data.get("weight", 1.0))
-        if aggregated.has_edge(ca, cb):
-            aggregated[ca][cb]["weight"] += weight
-        else:
-            aggregated.add_edge(ca, cb, weight=weight)
-    return aggregated
+    adjacency: List[Dict[int, float]] = [{} for _ in range(max(community) + 1)]
+    for u, v, w in graph.edges():
+        cu, cv = community[u], community[v]
+        links = adjacency[cu]
+        links[cv] = links[cv] + w if cv in links else w
+        if cv != cu:
+            adjacency[cv][cu] = links[cv]
+    return FlatGraph(
+        range(len(adjacency)),
+        [1.0] * len(adjacency),
+        [tuple(links) for links in adjacency],
+        [tuple(links.values()) for links in adjacency],
+    )
 
 
 def best_partition(

@@ -8,6 +8,7 @@ from .metrics import (
     part_weights,
     parts_to_assignment,
 )
+from .flat import FlatGraph
 from .coarsen import CoarseningLevel, coarsen, contract, heavy_edge_matching
 from .refine import rebalance, refine
 from .kway import (
@@ -20,6 +21,7 @@ from .spectral import fiedler_bisection, spectral_partition
 
 __all__ = [
     "CoarseningLevel",
+    "FlatGraph",
     "PartitionError",
     "assignment_to_parts",
     "coarsen",

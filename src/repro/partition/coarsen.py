@@ -4,92 +4,106 @@ The coarsening phase repeatedly contracts a maximal matching that prefers heavy
 edges, producing a hierarchy of smaller graphs whose partitions can be
 projected back to the original graph.  This is the same scheme METIS uses; the
 interaction graphs CloudQC partitions are small enough (tens to hundreds of
-qubits) that a straightforward Python implementation is fast.
+qubits) that a straightforward Python implementation over flat per-node
+lists (:class:`~repro.partition.flat.FlatGraph`) is fast.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 import networkx as nx
 import numpy as np
+
+from .flat import FlatGraph
 
 
 @dataclass
 class CoarseningLevel:
     """One level of the multilevel hierarchy."""
 
-    graph: nx.Graph
-    #: fine node -> coarse node of the *next* (smaller) level.
-    projection: Dict[Hashable, Hashable]
-
-
-def _node_weight(graph: nx.Graph, node: Hashable) -> float:
-    return float(graph.nodes[node].get("weight", 1.0))
+    graph: FlatGraph
+    #: fine node position -> coarse node position in the *next* (smaller) level.
+    projection: List[int]
 
 
 def heavy_edge_matching(
-    graph: nx.Graph, rng: np.random.Generator
-) -> List[Tuple[Hashable, Hashable]]:
+    graph: Union[nx.Graph, FlatGraph], rng: np.random.Generator
+) -> List[Tuple[int, int]]:
     """Greedy maximal matching preferring the heaviest incident edge.
 
     Nodes are visited in random order (randomisation decorrelates successive
     levels); each unmatched node is matched with its heaviest unmatched
-    neighbour.
+    neighbour.  ``graph`` is a networkx graph or a :class:`FlatGraph`; the
+    pairs are node positions.
     """
-    nodes = list(graph.nodes())
+    graph = FlatGraph.of(graph)
+    nodes = list(range(len(graph)))
     rng.shuffle(nodes)
-    matched: set = set()
-    matching: List[Tuple[Hashable, Hashable]] = []
-    for node in nodes:
-        if node in matched:
+    matched = [False] * len(nodes)
+    matching: List[Tuple[int, int]] = []
+    nbrs, wts = graph.nbrs, graph.wts
+    for u in nodes:
+        if matched[u]:
             continue
-        best: Optional[Hashable] = None
+        best: Optional[int] = None
         best_weight = -1.0
-        for neighbor, data in graph[node].items():
-            if neighbor in matched or neighbor == node:
+        for v, weight in zip(nbrs[u], wts[u]):
+            if matched[v] or v == u:
                 continue
-            weight = float(data.get("weight", 1.0))
             if weight > best_weight:
                 best_weight = weight
-                best = neighbor
+                best = v
         if best is not None:
-            matched.add(node)
-            matched.add(best)
-            matching.append((node, best))
+            matched[u] = matched[best] = True
+            matching.append((u, best))
     return matching
 
 
-def contract(graph: nx.Graph, matching: List[Tuple[Hashable, Hashable]]) -> CoarseningLevel:
-    """Contract each matched pair into one coarse node, merging weights."""
-    projection: Dict[Hashable, Hashable] = {}
-    coarse = nx.Graph()
-    next_id = 0
+def contract(
+    graph: Union[nx.Graph, FlatGraph], matching: List[Tuple[int, int]]
+) -> CoarseningLevel:
+    """Contract each matched pair into one coarse node, merging weights.
+
+    Coarse nodes are numbered matched pairs first, then the unmatched nodes
+    in order; each coarse adjacency list is in edge-creation order, the
+    order networkx would give the same contraction.
+    """
+    graph = FlatGraph.of(graph)
+    weight = graph.weight
+    projection = [-1] * len(graph)
+    coarse_weight: List[float] = []
     for a, b in matching:
-        coarse.add_node(next_id, weight=_node_weight(graph, a) + _node_weight(graph, b))
-        projection[a] = next_id
-        projection[b] = next_id
-        next_id += 1
-    for node in graph.nodes():
-        if node not in projection:
-            coarse.add_node(next_id, weight=_node_weight(graph, node))
-            projection[node] = next_id
-            next_id += 1
-    for a, b, data in graph.edges(data=True):
-        ca, cb = projection[a], projection[b]
-        if ca == cb:
+        projection[a] = projection[b] = len(coarse_weight)
+        coarse_weight.append(weight[a] + weight[b])
+    for u, w in enumerate(weight):
+        if projection[u] < 0:
+            projection[u] = len(coarse_weight)
+            coarse_weight.append(w)
+    adjacency = [{} for _ in coarse_weight]
+    for u, v, w in graph.edges():
+        cu, cv = projection[u], projection[v]
+        if cu == cv:
             continue
-        weight = float(data.get("weight", 1.0))
-        if coarse.has_edge(ca, cb):
-            coarse[ca][cb]["weight"] += weight
+        row = adjacency[cu]
+        if cv in row:
+            row[cv] += w
+            adjacency[cv][cu] += w
         else:
-            coarse.add_edge(ca, cb, weight=weight)
+            row[cv] = w
+            adjacency[cv][cu] = w
+    coarse = FlatGraph(
+        range(len(coarse_weight)),
+        coarse_weight,
+        [tuple(row) for row in adjacency],
+        [tuple(row.values()) for row in adjacency],
+    )
     return CoarseningLevel(graph=coarse, projection=projection)
 
 
 def coarsen(
-    graph: nx.Graph,
+    graph: Union[nx.Graph, FlatGraph],
     target_size: int,
     seed: Optional[int] = None,
     max_levels: int = 30,
@@ -101,18 +115,21 @@ def coarsen(
     graph itself is not included.  Coarsening stops early when a level shrinks
     the graph by less than 10% (a sign of a star-like structure).
     """
-    rng = np.random.default_rng(seed)
+    current = FlatGraph.of(graph)
+    target_size = max(target_size, 2)
     levels: List[CoarseningLevel] = []
-    current = graph
+    if len(current) <= target_size:
+        return levels
+    rng = np.random.default_rng(seed)
     for _ in range(max_levels):
-        if current.number_of_nodes() <= max(target_size, 2):
-            break
         matching = heavy_edge_matching(current, rng)
         if not matching:
             break
         level = contract(current, matching)
-        if level.graph.number_of_nodes() >= 0.9 * current.number_of_nodes():
+        if len(level.graph) >= 0.9 * len(current):
             break
         levels.append(level)
         current = level.graph
+        if len(current) <= target_size:
+            break
     return levels

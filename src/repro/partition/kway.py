@@ -13,114 +13,112 @@ implements the classic multilevel scheme:
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional
+from typing import Dict, Hashable, List, Optional, Tuple, Union
 
 import networkx as nx
-import numpy as np
 
 from .coarsen import CoarseningLevel, coarsen
+from .flat import FlatGraph
 from .metrics import edge_cut, part_weights
-from .refine import rebalance, refine
+from .refine import rebalance_parts, refine_parts
 
 
 class PartitionError(ValueError):
     """Raised when the requested partition is infeasible."""
 
 
-def _node_weight(graph: nx.Graph, node: Hashable) -> float:
-    return float(graph.nodes[node].get("weight", 1.0))
+def _spread_seeds(graph: FlatGraph, num_parts: int) -> List[int]:
+    """Pick ``num_parts`` seeds that are pairwise far apart (k-center greedy).
 
-
-def _total_weight(graph: nx.Graph) -> float:
-    return sum(_node_weight(graph, node) for node in graph.nodes())
-
-
-def _spread_seeds(
-    graph: nx.Graph, num_parts: int, rng: np.random.Generator
-) -> List[Hashable]:
-    """Pick ``num_parts`` seeds that are pairwise far apart (k-center greedy)."""
-    nodes = list(graph.nodes())
-    if len(nodes) <= num_parts:
-        return nodes
+    Every seed is at distance 0 from the seed set and every other node at
+    distance >= 1, so the farthest node is never a seed already.
+    """
+    n = len(graph)
+    if n <= num_parts:
+        return list(range(n))
+    degree = graph.degree
     # Start from the highest-degree-weight node so dense regions get a seed.
-    def degree_weight(node: Hashable) -> float:
-        # detlint: ignore[DET003] adjacency order is fixed by the deterministic graph build; re-sorting this float sum would change bits pinned by golden tests
-        return sum(float(d.get("weight", 1.0)) for _, d in graph[node].items())
-
-    seeds = [max(nodes, key=degree_weight)]
-    lengths = nx.single_source_shortest_path_length(graph, seeds[0])
-    distance = {node: lengths.get(node, len(nodes)) for node in nodes}
+    seeds = [max(range(n), key=degree.__getitem__)]
+    distance = graph.distance_row(seeds[0])
     while len(seeds) < num_parts:
-        candidate = max(nodes, key=lambda n: (distance[n], degree_weight(n)))
-        if candidate in seeds:
-            remaining = [n for n in nodes if n not in seeds]
-            candidate = rng.choice(remaining)
+        candidate = max(range(n), key=lambda u: (distance[u], degree[u]))
         seeds.append(candidate)
-        lengths = nx.single_source_shortest_path_length(graph, candidate)
-        for node in nodes:
-            distance[node] = min(distance[node], lengths.get(node, len(nodes)))
+        distance = list(map(min, distance, graph.distance_row(candidate)))
     return seeds
 
 
 def _initial_partition(
-    graph: nx.Graph,
-    num_parts: int,
-    max_part_weight: float,
-    rng: np.random.Generator,
-) -> Dict[Hashable, int]:
-    """Greedy region growing from spread-out seeds, respecting balance."""
-    assignment: Dict[Hashable, int] = {}
-    weights = {part: 0.0 for part in range(num_parts)}
-    seeds = _spread_seeds(graph, num_parts, rng)
-    frontiers: Dict[int, List[Hashable]] = {}
-    for part, seed in enumerate(seeds):
-        assignment[seed] = part
-        weights[part] += _node_weight(graph, seed)
-        frontiers[part] = [seed]
+    graph: FlatGraph, num_parts: int, max_part_weight: float
+) -> Tuple[List[int], List[int]]:
+    """Greedy region growing from spread-out seeds, respecting balance.
 
-    unassigned = set(graph.nodes()) - set(assignment)
+    Returns ``(parts, order)``: each node's part, and the order in which
+    nodes were assigned.
+    """
+    node_weights, nbrs, wts = graph.weight, graph.nbrs, graph.wts
+    parts = [-1] * len(graph)
+    order: List[int] = []
+    weights = [0.0] * num_parts
+    seeds = _spread_seeds(graph, num_parts)
+    unassigned = set(range(len(graph))) - set(seeds)
+    # Each part's growth candidates: unassigned neighbours of its region, with
+    # the edge weight attaching them, in first-seen order.  Kept up to date as
+    # nodes join regions, which gives the same sums and order as rescanning
+    # the whole region every round.
+    attached: List[Dict[int, float]] = [{} for _ in range(num_parts)]
+
+    def assign(u: int, part: int) -> None:
+        parts[u] = part
+        order.append(u)
+        weights[part] += node_weights[u]
+        unassigned.discard(u)
+        for candidates in attached:
+            candidates.pop(u, None)
+        candidates = attached[part]
+        for v, weight in zip(nbrs[u], wts[u]):
+            if v in unassigned:
+                candidates[v] = candidates.get(v, 0.0) + weight
+
+    for part, seed in enumerate(seeds):
+        assign(seed, part)
+
     progress = True
     while unassigned and progress:
         progress = False
         # Grow the lightest part first so parts stay balanced.
-        for part in sorted(weights, key=weights.get):
-            if part not in frontiers:
-                continue
-            candidates: Dict[Hashable, float] = {}
-            for node in frontiers[part]:
-                for neighbor, data in graph[node].items():
-                    if neighbor in unassigned:
-                        candidates[neighbor] = candidates.get(neighbor, 0.0) + float(
-                            data.get("weight", 1.0)
-                        )
+        for part in sorted(range(num_parts), key=weights.__getitem__):
+            # The most strongly attached candidate that fits (first seen wins
+            # a tie).
             picked = None
-            for node in sorted(candidates, key=candidates.get, reverse=True):
-                if weights[part] + _node_weight(graph, node) <= max_part_weight:
-                    picked = node
-                    break
+            for u, weight in attached[part].items():
+                if weights[part] + node_weights[u] <= max_part_weight and (
+                    picked is None or weight > best
+                ):
+                    picked, best = u, weight
             if picked is None:
                 continue
-            assignment[picked] = part
-            weights[part] += _node_weight(graph, picked)
-            frontiers[part].append(picked)
-            unassigned.discard(picked)
+            assign(picked, part)
             progress = True
 
     # Disconnected or capacity-stranded leftovers go to the lightest feasible part.
-    for node in sorted(unassigned, key=lambda n: -_node_weight(graph, n)):
-        feasible = sorted(
-            (w, p)
-            for p, w in weights.items()
-            if w + _node_weight(graph, node) <= max_part_weight
+    for u in sorted(unassigned, key=lambda u: -node_weights[u]):
+        feasible = min(
+            (
+                (w, p)
+                for p, w in enumerate(weights)
+                if w + node_weights[u] <= max_part_weight
+            ),
+            default=None,
         )
-        part = feasible[0][1] if feasible else min(weights, key=weights.get)
-        assignment[node] = part
-        weights[part] += _node_weight(graph, node)
-    return assignment
+        part = feasible[1] if feasible else min(range(num_parts), key=weights.__getitem__)
+        parts[u] = part
+        order.append(u)
+        weights[part] += node_weights[u]
+    return parts, order
 
 
 def partition_graph(
-    graph: nx.Graph,
+    graph: Union[nx.Graph, FlatGraph],
     num_parts: int,
     imbalance: float = 0.05,
     seed: Optional[int] = None,
@@ -131,8 +129,11 @@ def partition_graph(
     Parameters
     ----------
     graph:
-        Weighted undirected graph; node weight attribute ``weight`` defaults
-        to 1, edge weight attribute ``weight`` defaults to 1.
+        Weighted undirected graph, as networkx or as a :class:`FlatGraph`
+        (callers that partition one graph many times pass its flat form once
+        built, so its arrays and distance rows are reused); node weight
+        attribute ``weight`` defaults to 1, edge weight attribute ``weight``
+        defaults to 1.
     num_parts:
         Number of parts (k).  ``k = 1`` returns the trivial partition.
     imbalance:
@@ -144,51 +145,50 @@ def partition_graph(
 
     Returns
     -------
-    dict mapping every node to its part id in ``range(num_parts)``.
+    dict mapping every node to its part id in ``range(num_parts)``.  Ties are
+    broken by node position, never by label, so relabelling the graph only
+    relabels the result.
     """
     if num_parts < 1:
         raise PartitionError("num_parts must be at least 1")
     if imbalance < 0:
         raise PartitionError("imbalance factor cannot be negative")
-    nodes = list(graph.nodes())
-    if not nodes:
+    flat = FlatGraph.of(graph)
+    labels = flat.labels
+    if not len(flat):
         return {}
     if num_parts == 1:
-        return {node: 0 for node in nodes}
-    if num_parts > len(nodes):
+        return {label: 0 for label in labels}
+    if num_parts > len(flat):
         raise PartitionError(
-            f"cannot split {len(nodes)} nodes into {num_parts} non-empty parts"
+            f"cannot split {len(flat)} nodes into {num_parts} non-empty parts"
         )
 
-    rng = np.random.default_rng(seed)
-    total = _total_weight(graph)
-    max_node_weight = max(_node_weight(graph, node) for node in nodes)
+    total = sum(flat.weight)
     max_part_weight = (1.0 + imbalance) * total / num_parts
     # A part must always be able to hold at least one node.
-    max_part_weight = max(max_part_weight, max_node_weight)
+    max_part_weight = max(max_part_weight, max(flat.weight))
 
     # Coarsen, keeping the part-weight cap fixed (weights are preserved).
     levels: List[CoarseningLevel] = coarsen(
-        graph, target_size=max(coarsen_target, 4 * num_parts), seed=seed
+        flat, target_size=max(coarsen_target, 4 * num_parts), seed=seed
     )
-    coarsest = levels[-1].graph if levels else graph
+    coarsest = levels[-1].graph if levels else flat
 
-    assignment = _initial_partition(coarsest, num_parts, max_part_weight, rng)
-    assignment = refine(
-        coarsest, assignment, num_parts, max_part_weight, seed=seed
-    )
+    parts, order = _initial_partition(coarsest, num_parts, max_part_weight)
+    refine_parts(coarsest, parts, num_parts, max_part_weight, seed=seed)
 
     # Uncoarsen: project through the hierarchy, refining at each level.
-    hierarchy = [graph] + [level.graph for level in levels]
+    hierarchy = [flat] + [level.graph for level in levels]
     for level_index in range(len(levels) - 1, -1, -1):
         finer = hierarchy[level_index]
-        projection = levels[level_index].projection
-        assignment = {node: assignment[projection[node]] for node in finer.nodes()}
-        assignment = rebalance(finer, assignment, num_parts, max_part_weight)
-        assignment = refine(finer, assignment, num_parts, max_part_weight, seed=seed)
+        parts = [parts[coarse] for coarse in levels[level_index].projection]
+        order = range(len(finer))
+        rebalance_parts(finer, parts, order, num_parts, max_part_weight)
+        refine_parts(finer, parts, num_parts, max_part_weight, seed=seed)
 
-    assignment = rebalance(graph, assignment, num_parts, max_part_weight)
-    return assignment
+    rebalance_parts(flat, parts, order, num_parts, max_part_weight)
+    return {labels[u]: parts[u] for u in order}
 
 
 def partition_cost(graph: nx.Graph, assignment: Dict[Hashable, int]) -> float:

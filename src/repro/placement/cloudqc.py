@@ -3,6 +3,9 @@
 For each candidate (imbalance factor, part count) pair the pipeline is:
 
 1. partition the qubit-interaction graph with the multilevel partitioner,
+   unless the part count is too small for the free capacity (see
+   :func:`fewest_covering_qpus`), and drop the partition if its part sizes
+   cannot fit the free capacity (see :func:`parts_fit`),
 2. select a QPU set -- community detection for CloudQC, BFS expansion for
    CloudQC-BFS,
 3. map parts to QPUs with the graph-center heuristic (Algorithm 2),
@@ -27,6 +30,38 @@ from .scoring import score_mapping
 
 #: Imbalance factors explored by default (Algorithm 1's alpha list).
 DEFAULT_IMBALANCE_FACTORS: Tuple[float, ...] = (0.05, 0.15, 0.30, 0.50)
+
+
+def fewest_covering_qpus(free: Sequence[int], size: int) -> int:
+    """Fewest QPUs whose free qubits add up to ``size`` (``free`` sorted, largest first).
+
+    A candidate with fewer parts than this cannot be mapped: a partition has
+    at most ``k`` non-empty parts, and mapping puts each part on one QPU with
+    room for it, so its qubits land on at most ``k`` QPUs.
+    """
+    covered = 0
+    for count, qubits in enumerate(free, start=1):
+        covered += qubits
+        if covered >= size:
+            return count
+    return len(free) + 1
+
+
+def parts_fit(part_sizes: Iterable[int], free: Sequence[int]) -> bool:
+    """Whether parts of these sizes can fit QPUs with these free qubits.
+
+    Fails when, for some size ``t``, the parts of size >= ``t`` need more
+    qubits than all QPUs with >= ``t`` free qubits hold.  Mapping only puts a
+    part on a QPU with room for all of it, and its last resort is every QPU
+    of the cloud, so no choice of candidate QPUs rescues such a partition.
+    Checking ``t`` at each part size covers every ``t``.
+    """
+    needed = 0
+    for size in sorted(part_sizes, reverse=True):
+        needed += size
+        if needed > sum(qubits for qubits in free if qubits >= size):
+            return False
+    return True
 
 
 class CloudQCPlacement(PlacementAlgorithm):
@@ -108,7 +143,12 @@ class CloudQCPlacement(PlacementAlgorithm):
             if host is not None:
                 mapping = {qubit: host for qubit in range(size)}
                 metrics = score_mapping(
-                    circuit, mapping, cloud, alpha=self.alpha, beta=self.beta
+                    circuit,
+                    mapping,
+                    cloud,
+                    alpha=self.alpha,
+                    beta=self.beta,
+                    gates=context.gate_table(circuit),
                 )
                 return Placement(
                     circuit=circuit,
@@ -118,7 +158,15 @@ class CloudQCPlacement(PlacementAlgorithm):
                     metadata=metrics,
                 )
 
-        candidates = self._candidate_part_counts(size, cloud)
+        # Free qubits per QPU, largest first: the capacity both prefilters
+        # test candidates against (mapping reads the same live availability).
+        free = sorted(
+            (qpu.computing_available for qpu in cloud.qpus.values()), reverse=True
+        )
+        fewest = fewest_covering_qpus(free, size)
+        candidates = [
+            k for k in self._candidate_part_counts(size, cloud) if k >= fewest
+        ]
         best: Optional[Placement] = None
 
         for attempt, imbalance in enumerate(self.imbalance_factors):
@@ -138,6 +186,7 @@ class CloudQCPlacement(PlacementAlgorithm):
                     imbalance,
                     seed=None if seed is None else seed + attempt,
                     context=context,
+                    free=free,
                 )
                 if placement is None:
                     continue
@@ -170,6 +219,7 @@ class CloudQCPlacement(PlacementAlgorithm):
         imbalance: float,
         seed: Optional[int],
         context: PlacementContext,
+        free: Sequence[int],
     ) -> Optional[Placement]:
         if num_parts > circuit.num_qubits:
             return None
@@ -177,8 +227,8 @@ class CloudQCPlacement(PlacementAlgorithm):
         part_sizes: Dict[int, int] = {}
         for part in assignment.values():
             part_sizes[part] = part_sizes.get(part, 0) + 1
-        # Drop empty parts (the partitioner never creates them, but be safe).
-        part_sizes = {part: size for part, size in part_sizes.items() if size > 0}
+        if not parts_fit(part_sizes.values(), free):
+            return None
 
         try:
             qpu_set = self._select_qpus(
@@ -200,7 +250,12 @@ class CloudQCPlacement(PlacementAlgorithm):
             return None
 
         metrics = score_mapping(
-            circuit, mapping, cloud, alpha=self.alpha, beta=self.beta
+            circuit,
+            mapping,
+            cloud,
+            alpha=self.alpha,
+            beta=self.beta,
+            gates=context.gate_table(circuit),
         )
         metrics["num_parts"] = float(len(part_sizes))
         metrics["imbalance"] = float(imbalance)

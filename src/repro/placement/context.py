@@ -10,15 +10,19 @@ only change when a job is admitted or released.
 
 :class:`PlacementContext` memoizes both sides:
 
-* **circuit identity** keys the interaction graph and its networkx form, and
+* **circuit identity** keys the interaction graph, its networkx form, its
+  flat form (:class:`~repro.partition.FlatGraph`, which also keeps the hop
+  distance rows the partitioner's seed spreading asks for) and the gate
+  table placement scoring reads, and
   ``(circuit, num_parts, imbalance, seed)`` keys partition assignments and
   quotient graphs.  Circuits are treated as frozen while registered with a
   context (the simulator never mutates a submitted circuit).
 * **cloud resource version** (:attr:`repro.cloud.QuantumCloud.resource_version`)
-  keys community detection and QPU-set selection: equal versions imply an
-  identical availability map, so the cached result is exactly what a fresh
-  computation would produce.  Any ``admit``/``release`` bumps the version and
-  naturally invalidates every cloud-side entry.
+  keys Louvain's seed-free first level, community detection and QPU-set
+  selection: equal versions imply an identical availability map, so the
+  cached result is exactly what a fresh computation would produce.  Any
+  ``admit``/``release`` bumps the version and naturally invalidates every
+  cloud-side entry.
 
 Determinism: results are cached only under concrete integer seeds (seeded
 pipelines are pure functions of their cache key); ``seed=None`` requests draw
@@ -37,8 +41,14 @@ import networkx as nx
 
 from ..circuits import InteractionGraph, QuantumCircuit
 from ..cloud import QuantumCloud
-from ..community import detect_communities, graph_center, select_qpu_community
-from ..partition import partition_graph
+from ..community import (
+    detect_communities,
+    graph_center,
+    louvain_graph,
+    select_qpu_community,
+)
+from ..partition import FlatGraph, partition_graph
+from .scoring import GateTable, gate_table
 
 
 class PlacementContext:
@@ -62,10 +72,13 @@ class PlacementContext:
         self._circuits: Dict[int, QuantumCircuit] = {}
         self._interactions: Dict[int, InteractionGraph] = {}
         self._interaction_nx: Dict[int, nx.Graph] = {}
+        self._interaction_flat: Dict[int, FlatGraph] = {}
+        self._gate_tables: Dict[int, GateTable] = {}
         self._partitions: Dict[Tuple[int, int, float, int], Dict[int, int]] = {}
         self._quotients: Dict[Tuple[int, int, float, int], nx.Graph] = {}
         # Cloud-side caches, keyed by (cloud identity, resource version, ...).
         self._clouds: Dict[int, QuantumCloud] = {}
+        self._louvain_graphs: Dict[Tuple[int, int], FlatGraph] = {}
         self._communities: Dict[Tuple[int, int, str, int], List[Set[Hashable]]] = {}
         self._qpu_sets: Dict[Tuple[Any, ...], Tuple[int, ...]] = {}
         # Topology-keyed cache (the topology never mutates, so no version).
@@ -135,6 +148,35 @@ class PlacementContext:
         self._interaction_nx[key] = graph
         return graph
 
+    def interaction_flat(self, circuit: QuantumCircuit) -> FlatGraph:
+        """The partitioner's flat form of the interaction graph (read-only, shared).
+
+        Its distance rows fill in as partitions ask for them, so every later
+        partition of the circuit reuses them.  Only the flat form is kept;
+        the networkx graph it is read from is not.
+        """
+        key = self._circuit_key(circuit)
+        cached = self._interaction_flat.get(key)
+        if cached is not None:
+            self.hits += 1
+            return cached
+        self.misses += 1
+        graph = FlatGraph.of(self.interaction(circuit).to_networkx())
+        self._store(self._interaction_flat, key, graph)
+        return graph
+
+    def gate_table(self, circuit: QuantumCircuit) -> GateTable:
+        """The circuit's gate operands and kinds, as placement scoring reads them."""
+        key = self._circuit_key(circuit)
+        cached = self._gate_tables.get(key)
+        if cached is not None:
+            self.hits += 1
+            return cached
+        self.misses += 1
+        table = gate_table(circuit)
+        self._store(self._gate_tables, key, table)
+        return table
+
     def partition(
         self,
         circuit: QuantumCircuit,
@@ -149,7 +191,7 @@ class PlacementContext:
         """
         if seed is None:
             return partition_graph(
-                self.interaction_nx(circuit), num_parts, imbalance=imbalance, seed=None
+                self.interaction_flat(circuit), num_parts, imbalance=imbalance, seed=None
             )
         key = (self._circuit_key(circuit), num_parts, float(imbalance), seed)
         cached = self._partitions.get(key)
@@ -158,7 +200,7 @@ class PlacementContext:
             return cached
         self.misses += 1
         assignment = partition_graph(
-            self.interaction_nx(circuit), num_parts, imbalance=imbalance, seed=seed
+            self.interaction_flat(circuit), num_parts, imbalance=imbalance, seed=seed
         )
         self._store(self._partitions, key, assignment)
         return assignment
@@ -213,11 +255,31 @@ class PlacementContext:
             self.hits += 1
             return cached
         self.misses += 1
-        communities = detect_communities(
-            cloud.resource_graph(), method=method, seed=seed
+        graph = (
+            self.louvain_graph(cloud)
+            if method == "louvain"
+            else cloud.resource_graph()
         )
+        communities = detect_communities(graph, method=method, seed=seed)
         self._store(self._communities, key, communities)
         return communities
+
+    def louvain_graph(self, cloud: QuantumCloud) -> FlatGraph:
+        """Louvain's first level for the cloud's resource graph.
+
+        It does not depend on the seed, so streaming runs -- which mint a
+        fresh seed per attempt -- build it once per resource version instead
+        of once per community detection.
+        """
+        key = (self._cloud_key(cloud), cloud.resource_version)
+        cached = self._louvain_graphs.get(key)
+        if cached is not None:
+            self.hits += 1
+            return cached
+        self.misses += 1
+        graph = louvain_graph(cloud.resource_graph())
+        self._store(self._louvain_graphs, key, graph)
+        return graph
 
     def community_qpu_set(
         self,

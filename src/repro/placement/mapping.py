@@ -25,17 +25,21 @@ from typing import (
 import networkx as nx
 
 from ..cloud import QuantumCloud
-from ..community import graph_center
+from ..community import adjacency_center, graph_center
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .context import PlacementContext
+
+
+#: A quotient graph as part -> {neighbouring part: crossing-gate weight}.
+Links = Dict[Hashable, Dict[Hashable, float]]
 
 
 class MappingError(RuntimeError):
     """Raised when the parts cannot be fitted on the candidate QPUs."""
 
 
-def _part_order(quotient: nx.Graph, center_part: Hashable) -> List[Hashable]:
+def _part_order(links: Links, center_part: Hashable) -> List[Hashable]:
     """BFS order over the quotient graph from the centre, heaviest edges first."""
     order: List[Hashable] = []
     visited = {center_part}
@@ -43,17 +47,14 @@ def _part_order(quotient: nx.Graph, center_part: Hashable) -> List[Hashable]:
     while queue:
         part = queue.popleft()
         order.append(part)
-        neighbors = sorted(
-            quotient[part].items(),
-            key=lambda item: -float(item[1].get("weight", 1.0)),
-        )
+        neighbors = sorted(links[part].items(), key=lambda item: -item[1])
         for neighbor, _ in neighbors:
             if neighbor not in visited:
                 visited.add(neighbor)
                 queue.append(neighbor)
-    # Parts disconnected from the centre (no cross edges) come last, largest first.
+    # Parts disconnected from the centre (no cross edges) come last, by part label.
     # detlint: ignore[DET003] part labels are distinct ints; sorted() output is canonical regardless of set order
-    for part in sorted(set(quotient.nodes()) - visited):
+    for part in sorted(set(links) - visited):
         order.append(part)
     return order
 
@@ -92,24 +93,32 @@ def map_partitions_to_qpus(
     parts = list(part_sizes)
     if not parts:
         return {}
+    qpu_ids = cloud.qpu_ids
     candidates = [q for q in candidate_qpus if q in cloud.qpus]
     if not candidates:
-        candidates = cloud.qpu_ids
+        candidates = qpu_ids
 
     available: Dict[int, int] = {
-        qpu_id: cloud.qpu(qpu_id).computing_available for qpu_id in cloud.qpu_ids
+        qpu_id: cloud.qpu(qpu_id).computing_available for qpu_id in qpu_ids
     }
 
     if context is not None:
         community_center = context.topology_center(cloud, candidates)
     else:
         community_center = graph_center(cloud.topology.graph, candidates)
-    if quotient.number_of_nodes() > 0 and quotient.number_of_edges() > 0:
-        center_part = graph_center(quotient)
+    # The quotient graph as part -> {neighbouring part: weight}, in networkx's
+    # adjacency order: the part order and the QPU picks below read it many
+    # times, and plain dicts are much cheaper to read than networkx views.
+    links: Links = {
+        part: {neighbor: float(data.get("weight", 1.0)) for neighbor, data in nbrs.items()}
+        for part, nbrs in quotient.adjacency()
+    }
+    if any(links.values()):  # at least one edge
+        center_part = adjacency_center(links)
     else:
         center_part = max(parts, key=lambda p: part_sizes[p])
 
-    order = _part_order(quotient, center_part) if quotient.number_of_nodes() else list(parts)
+    order = _part_order(links, center_part) if links else list(parts)
     # Parts not present in the quotient graph (fully local, no cross edges).
     for part in parts:
         if part not in order:
@@ -126,9 +135,10 @@ def map_partitions_to_qpus(
             part,
             size,
             mapping,
-            quotient,
+            links,
             cloud,
             candidates,
+            qpu_ids,
             available,
             used,
             community_center,
@@ -148,30 +158,35 @@ def _pick_qpu(
     part: Hashable,
     size: int,
     mapping: Mapping[Hashable, int],
-    quotient: nx.Graph,
+    links: Links,
     cloud: QuantumCloud,
     candidates: Sequence[int],
+    qpu_ids: Sequence[int],
     available: Mapping[int, int],
     used: Iterable[int],
     community_center: int,
     allow_sharing: bool,
 ) -> Optional[int]:
     used = set(used)
+    distance = cloud.distance
+    # (weight, QPU) of the already-mapped neighbouring parts, in adjacency order.
+    mapped = [
+        (weight, mapping[neighbor])
+        for neighbor, weight in links.get(part, {}).items()
+        if neighbor in mapping
+    ]
 
     def attraction(qpu_id: int) -> float:
         """Weighted distance to the QPUs of already-mapped neighbouring parts."""
         total = 0.0
-        if quotient.has_node(part):
-            for neighbor, data in quotient[part].items():
-                if neighbor in mapping:
-                    weight = float(data.get("weight", 1.0))
-                    total += weight * cloud.distance(qpu_id, mapping[neighbor])  # detlint: ignore[DET003] adjacency order is fixed by the deterministic graph build; reordering would change bits pinned by golden tests
+        for weight, neighbor_qpu in mapped:
+            total += weight * distance(qpu_id, neighbor_qpu)
         return total
 
     def rank(qpu_id: int) -> tuple:
         return (
             attraction(qpu_id),
-            cloud.distance(qpu_id, community_center),
+            distance(qpu_id, community_center),
             -available[qpu_id],
             qpu_id,
         )
@@ -181,9 +196,9 @@ def _pick_qpu(
     ]
     if allow_sharing:
         pools.append([q for q in candidates if q in used and available[q] >= size])
-    pools.append([q for q in cloud.qpu_ids if q not in used and available[q] >= size])
+    pools.append([q for q in qpu_ids if q not in used and available[q] >= size])
     if allow_sharing:
-        pools.append([q for q in cloud.qpu_ids if available[q] >= size])
+        pools.append([q for q in qpu_ids if available[q] >= size])
 
     for pool in pools:
         if pool:

@@ -35,7 +35,10 @@ class LatencyModel:
 
     def gate_latency(self, gate: Gate) -> float:
         """Latency of a *local* gate."""
-        kind = gate.kind
+        return self.kind_latency(gate.kind)
+
+    def kind_latency(self, kind: GateKind) -> float:
+        """Latency of a *local* gate of the given kind."""
         if kind is GateKind.TWO_QUBIT:
             return self.two_qubit_gate
         if kind is GateKind.MEASUREMENT:

@@ -6,6 +6,7 @@ import pytest
 from repro.cloud import CloudTopology, QuantumCloud
 from repro.community import (
     CommunityError,
+    adjacency_center,
     best_partition,
     community_capacity,
     detect_communities,
@@ -13,6 +14,7 @@ from repro.community import (
     graph_center,
     greedy_modularity_communities,
     louvain_communities,
+    louvain_graph,
     modularity,
     modularity_from_assignment,
     select_qpu_community,
@@ -135,6 +137,19 @@ class TestDetection:
         assert sum(len(c) for c in communities) == graph.number_of_nodes()
 
 
+class TestLouvainGraph:
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_prebuilt_first_level_detects_the_same_communities(self, seed):
+        graph = nx.Graph()
+        graph.add_node(9)
+        for i, (a, b) in enumerate(nx.erdos_renyi_graph(20, 0.3, seed=4).edges()):
+            graph.add_edge(b, a, weight=1 + i % 3)  # int weights, reversed order
+        graph.add_edge(3, 3, weight=2)
+        assert louvain_communities(louvain_graph(graph), seed=seed) == (
+            louvain_communities(graph, seed=seed)
+        )
+
+
 class TestGraphCenter:
     def test_center_of_path(self):
         graph = nx.path_graph(7)
@@ -152,6 +167,22 @@ class TestGraphCenter:
     def test_center_of_empty_graph_raises(self):
         with pytest.raises(ValueError):
             graph_center(nx.Graph())
+        with pytest.raises(ValueError):
+            adjacency_center({})
+
+    def test_disconnected_graph_uses_first_largest_component(self):
+        graph = nx.Graph([(10, 11), (11, 12), (0, 1), (1, 2), (5, 6)])
+        assert graph_center(graph) == 11
+        assert adjacency_center({5: [6], 6: [5], 0: [1], 1: [0, 2], 2: [1]}) == 1
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_adjacency_center_matches_networkx_eccentricity(self, seed):
+        graph = nx.gnp_random_graph(12, 0.25, seed=seed)
+        largest = max(nx.connected_components(graph), key=len)
+        eccentricity = nx.eccentricity(graph.subgraph(largest))
+        expected = min(eccentricity, key=lambda n: (eccentricity[n], str(n)))
+        assert graph_center(graph) == expected
+        assert adjacency_center({n: dict(graph[n]) for n in graph}) == expected
 
 
 class TestQpuSelection:

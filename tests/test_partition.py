@@ -3,10 +3,13 @@
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.circuits import InteractionGraph
 from repro.circuits.library import ghz, qft
 from repro.partition import (
+    FlatGraph,
     PartitionError,
     assignment_to_parts,
     coarsen,
@@ -21,6 +24,7 @@ from repro.partition import (
     rebalance,
     refine,
 )
+from repro.partition.kway import _spread_seeds
 
 
 def two_cliques(size: int = 6, bridge_weight: float = 1.0) -> nx.Graph:
@@ -81,22 +85,24 @@ class TestCoarsening:
         graph = two_cliques()
         rng = np.random.default_rng(0)
         level = contract(graph, heavy_edge_matching(graph, rng))
-        total = sum(d.get("weight", 1.0) for _, d in level.graph.nodes(data=True))
-        assert total == graph.number_of_nodes()
+        assert sum(level.graph.weight) == graph.number_of_nodes()
 
     def test_coarsen_reduces_size(self):
         graph = two_cliques(size=10)
         levels = coarsen(graph, target_size=5, seed=1)
         assert levels
-        assert levels[-1].graph.number_of_nodes() < graph.number_of_nodes()
+        assert len(levels[-1].graph) < graph.number_of_nodes()
 
     def test_coarsen_projections_cover_previous_level(self):
         graph = two_cliques(size=8)
         levels = coarsen(graph, target_size=4, seed=1)
-        current = graph
+        size = graph.number_of_nodes()
         for level in levels:
-            assert set(level.projection) == set(current.nodes())
-            current = level.graph
+            # Projections are by node position: every fine node maps onto a
+            # coarse node, and every coarse node has a fine preimage.
+            assert len(level.projection) == size
+            assert set(level.projection) == set(range(len(level.graph)))
+            size = len(level.graph)
 
 
 class TestRefinement:
@@ -181,3 +187,28 @@ class TestPartitionGraph:
         a = partition_graph(graph, 3, seed=11)
         b = partition_graph(graph, 3, seed=11)
         assert a == b
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=14),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.integers(min_value=0, max_value=10_000),
+    st.integers(min_value=1, max_value=14),
+)
+def test_spread_seeds_are_distinct(num_nodes, density, graph_seed, num_parts):
+    """The k-center seed pick never returns a seed twice.
+
+    Seeds sit at distance 0 from the seed set and every other node at >= 1
+    (unreachable nodes at ``n``), so the farthest node is never a seed; the
+    seed list needs no fallback draw.
+    """
+    graph = nx.gnp_random_graph(num_nodes, density, seed=graph_seed)
+    flat = FlatGraph.of(graph)
+    seeds = _spread_seeds(flat, num_parts)
+    assert len(seeds) == min(num_parts, num_nodes)
+    assert len(set(seeds)) == len(seeds)
+    for seed in seeds:
+        row = flat.distance_row(seed)
+        assert row[seed] == 0
+        assert all(distance >= 1 for node, distance in enumerate(row) if node != seed)

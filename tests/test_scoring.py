@@ -9,6 +9,7 @@ from repro.placement import (
     placement_score,
     score_mapping,
 )
+from repro.placement.scoring import gate_table
 from repro.sim import DEFAULT_LATENCY
 
 
@@ -51,6 +52,30 @@ class TestEstimateExecutionTime:
     def test_empty_circuit(self, small_cloud):
         circuit = QuantumCircuit(2)
         assert estimate_execution_time(circuit, {0: 0, 1: 0}, small_cloud) == 0.0
+
+
+class TestGateTable:
+    def test_table_scores_like_the_gates(self, small_cloud):
+        circuit = QuantumCircuit(4, name="mixed")
+        circuit.h(0)
+        circuit.cx(0, 1)
+        circuit.add("barrier", 0, 1, 2, 3)
+        circuit.cx(1, 3)
+        circuit.rzz(0.3, 2, 3)
+        circuit.swap(0, 2)
+        circuit.measure_all()
+        table = gate_table(circuit)
+        assert [qubits for qubits, _ in table] == [g.qubits for g in circuit.gates]
+        for mapping in ({0: 0, 1: 0, 2: 1, 3: 3}, {0: 0, 1: 1, 2: 2, 3: 3}):
+            assert score_mapping(circuit, mapping, small_cloud, gates=table) == (
+                score_mapping(circuit, mapping, small_cloud)
+            )
+
+    def test_kind_latency_matches_gate_latency(self, two_gate_circuit):
+        for gate in two_gate_circuit.gates:
+            assert DEFAULT_LATENCY.kind_latency(gate.kind) == (
+                DEFAULT_LATENCY.gate_latency(gate)
+            )
 
 
 class TestCommunicationCost:
