@@ -40,6 +40,8 @@ class CloudTopology:
             raise TopologyError("topology must be connected")
         self.graph = graph
         self._distances: Optional[Dict[int, Dict[int, int]]] = None
+        # (a, b) -> the shortest path's links as (u, v, edge-data dict).
+        self._paths: Dict[Tuple[int, int], List[Tuple[int, int, dict]]] = {}
 
     # ------------------------------------------------------------------
     # Constructors
@@ -195,17 +197,7 @@ class CloudTopology:
         data = self.graph.get_edge_data(a, b)
         if data is None:
             raise TopologyError(f"no quantum link between QPU {a} and QPU {b}")
-        value = data.get("epr_success_probability")
-        if value is not None:
-            return float(value)
-        if node_probability is None:
-            return default
-        p_a = node_probability(a)
-        p_b = node_probability(b)
-        return min(
-            default if p_a is None else float(p_a),
-            default if p_b is None else float(p_b),
-        )
+        return _links_probability([(a, b, data)], default, node_probability)
 
     def path_success_probability(
         self,
@@ -220,16 +212,21 @@ class CloudTopology:
         so the end-to-end probability is the product of per-link probabilities
         (see :meth:`link_success_probability` for how per-QPU overrides fold
         into each link).
+
+        The path's links and their edge-data dicts are memoised per ordered
+        pair -- the wiring never changes -- but every call still reads each
+        link's attribute and ``node_probability`` afresh, so per-link edits
+        and calibration windows take effect on the next call.
         """
         if a == b:
             return 1.0
-        path = self.shortest_path(a, b)
-        probability = 1.0
-        for u, v in zip(path, path[1:]):
-            probability *= self.link_success_probability(
-                u, v, default, node_probability
-            )
-        return probability
+        links = self._paths.get((a, b))
+        if links is None:
+            path = self.shortest_path(a, b)
+            graph = self.graph
+            links = [(u, v, graph[u][v]) for u, v in zip(path, path[1:])]
+            self._paths[(a, b)] = links
+        return _links_probability(links, default, node_probability)
 
     def to_networkx(self) -> nx.Graph:
         return self.graph.copy()
@@ -239,3 +236,27 @@ class CloudTopology:
             f"CloudTopology(qpus={self.num_qpus}, links={self.num_links}, "
             f"diameter={self.diameter() if self.num_qpus > 1 else 0})"
         )
+
+
+def _links_probability(
+    links: List[Tuple[int, int, dict]],
+    default: float,
+    node_probability: Optional[Callable[[int], Optional[float]]],
+) -> float:
+    """Product of the links' probabilities, in order, each resolved from its
+    edge data (see :meth:`CloudTopology.link_success_probability`)."""
+    probability = 1.0
+    for a, b, data in links:
+        value = data.get("epr_success_probability")
+        if value is not None:
+            probability *= float(value)
+        elif node_probability is None:
+            probability *= default
+        else:
+            p_a = node_probability(a)
+            p_b = node_probability(b)
+            probability *= min(
+                default if p_a is None else float(p_a),
+                default if p_b is None else float(p_b),
+            )
+    return probability

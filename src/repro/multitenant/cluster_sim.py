@@ -86,7 +86,7 @@ from ..placement import (
     PlacementAlgorithm,
     PlacementContext,
 )
-from ..scheduling import AllocationRequest, NetworkScheduler, RemoteDAG
+from ..scheduling import NetworkScheduler, RemoteDAG
 from ..sim import (
     DEFAULT_LATENCY,
     EventHandle,
@@ -95,6 +95,7 @@ from ..sim import (
     LatencyModel,
     SimulationError,
     local_execution_time,
+    network_round,
 )
 from .admission import AdmissionPolicy, AdmitAll, JobOutcome
 from .batch_manager import BatchManager, priority_batch_manager
@@ -1214,26 +1215,24 @@ class _EventDrivenBatch:
 
     def _start_round(self, loop: EventLoop, runnable: Sequence[_ActiveJob]) -> None:
         """Allocate communication qubits, sample this round's EPR successes."""
-        requests = self._build_requests(runnable)
-        capacity = {
-            qpu_id: self.cloud.qpu(qpu_id).communication_capacity
-            for qpu_id in self.cloud.qpu_ids
-        }
-        allocation = self.simulator.network_scheduler.allocate(
-            requests, capacity, rng=self.rng
+        requests = [
+            request
+            for state in runnable
+            for request in state.front.requests(state.job.job_id)
+        ]
+        succeeded = network_round(
+            requests,
+            self.cloud,
+            self.simulator.network_scheduler,
+            self.epr_model,
+            self.rng,
         )
         round_end = loop.now + self.latency.epr_preparation
-        for request in requests:
-            granted = allocation.get(request.op_id, 0)
-            if granted <= 0:
-                continue
-            job_id, node_id = request.op_id
-            if self.epr_model.sample_round(
-                request.qpu_a, request.qpu_b, granted, self.rng
-            ):
-                state = self.active[job_id]
-                state.finish_operation(node_id, round_end + self.round_tail)
-                state.in_flight_ops += 1
+        finish = round_end + self.round_tail
+        for job_id, node_id in succeeded:
+            state = self.active[job_id]
+            state.finish_operation(node_id, finish)
+            state.in_flight_ops += 1
         self.round_end_time = round_end
         loop.schedule_at(round_end, self._on_round_end, label="epr-round")
 
@@ -1248,13 +1247,6 @@ class _EventDrivenBatch:
             )
         except (MappingError, CommunityError, PlacementError):
             return None
-
-    @staticmethod
-    def _build_requests(runnable: Sequence[_ActiveJob]) -> List[AllocationRequest]:
-        requests: List[AllocationRequest] = []
-        for state in runnable:
-            requests.extend(state.front.requests(state.job.job_id))
-        return requests
 
     def _record_result(
         self, result: TenantJobResult, time: Optional[float] = None
@@ -1693,16 +1685,15 @@ class _EventDrivenBatch:
             else float(saved["completion_time"])
         )
         state.in_flight_ops = int(saved["in_flight_ops"])
-        front = state.front
         # __post_init__ rebuilt the front from the (identical) DAG; only the
-        # progress counters need the snapshot's values.  update() keeps the
-        # deterministic rebuild order of pending_predecessors.
-        front.pending_predecessors.update(
-            {int(node): int(count) for node, count in saved["front"]["pending_predecessors"]}
+        # progress counters need the snapshot's values.
+        front = saved["front"]
+        state.front.restore(
+            {int(node): int(count) for node, count in front["pending_predecessors"]},
+            {int(node) for node in front["ready"]},
+            int(front["completed"]),
+            float(front["last_finish"]),
         )
-        front.ready = {int(node) for node in saved["front"]["ready"]}
-        front.completed = int(saved["front"]["completed"])
-        front.last_finish = float(saved["front"]["last_finish"])
         return state
 
     def _restore_cloud(self, saved: Dict[str, Any]) -> None:

@@ -53,10 +53,16 @@ def bottleneck_communication_capacity(
     """Minimum communication-qubit capacity along the shortest path.
 
     The narrowest QPU on the path limits how many entanglement-swapping
-    attempts can run concurrently end to end.
+    attempts can run concurrently end to end.  Path nodes outside the fleet
+    (drained or failed QPUs) are pure relays, as in the EPR model: they keep
+    swapping entanglement and do not narrow the path.
     """
     path = cloud.topology.shortest_path(qpu_a, qpu_b)
-    return min(cloud.qpu(qpu).communication_capacity for qpu in path)
+    return min(
+        cloud.qpu(qpu).communication_capacity
+        for qpu in path
+        if qpu in cloud.qpus or qpu in (qpu_a, qpu_b)
+    )
 
 
 def widest_path_capacity(cloud: QuantumCloud, qpu_a: int, qpu_b: int) -> int:
@@ -64,7 +70,9 @@ def widest_path_capacity(cloud: QuantumCloud, qpu_a: int, qpu_b: int) -> int:
 
     Computed with a maximum-bottleneck (widest path) search over the QPU graph
     where node capacity acts as the width.  Used to study whether routing
-    around narrow QPUs would help (future-work ablation).
+    around narrow QPUs would help (future-work ablation).  Topology nodes
+    outside the fleet are relays of unbounded width, as in
+    :func:`bottleneck_communication_capacity`.
     """
     if qpu_a == qpu_b:
         return cloud.qpu(qpu_a).communication_capacity
@@ -78,8 +86,9 @@ def widest_path_capacity(cloud: QuantumCloud, qpu_a: int, qpu_b: int) -> int:
     for threshold in capacities:
         keep = [
             qpu
-            for qpu in cloud.qpu_ids
-            if cloud.qpu(qpu).communication_capacity >= threshold
+            for qpu in cloud.topology.qpu_ids
+            if qpu not in cloud.qpus
+            or cloud.qpu(qpu).communication_capacity >= threshold
             or qpu in (qpu_a, qpu_b)
         ]
         subgraph = graph.subgraph(keep)

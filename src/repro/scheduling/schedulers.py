@@ -60,29 +60,38 @@ class CloudQCScheduler(NetworkScheduler):
         capacity: Mapping[int, int],
         rng: Optional[np.random.Generator] = None,
     ) -> Dict[Tuple[str, int], int]:
+        # Both passes read and charge ``remaining`` inline: a request is
+        # grantable when both of its QPUs have a free pair left (QPUs missing
+        # from ``capacity`` have none), exactly as max_allocatable() >= 1.
         remaining = dict(capacity)
         allocation: Dict[Tuple[str, int], int] = {}
         ordered = sorted(requests, key=lambda r: (-r.priority, r.op_id))
 
         # Base pass: one pair each, highest priority first.
         for request in ordered:
-            if max_allocatable(request, remaining) >= 1:
+            a, b = request.qpu_a, request.qpu_b
+            if remaining.get(a, 0) >= 1 and remaining.get(b, 0) >= 1:
                 allocation[request.op_id] = 1
-                charge(request, 1, remaining)
+                remaining[a] -= 1
+                remaining[b] -= 1
 
-        # Redundancy pass: hand out extra pairs by priority until exhausted.
+        # Redundancy pass: hand out extra pairs by priority until exhausted,
+        # over the requests the base pass granted (no other can gain one).
+        granted = [request for request in ordered if request.op_id in allocation]
+        cap = self.max_redundancy
         progress = True
         while progress:
             progress = False
-            for request in ordered:
-                granted = allocation.get(request.op_id, 0)
-                if granted == 0:
+            for request in granted:
+                op_id = request.op_id
+                count = allocation[op_id]
+                if cap is not None and count >= cap:
                     continue
-                if self.max_redundancy is not None and granted >= self.max_redundancy:
-                    continue
-                if max_allocatable(request, remaining) >= 1:
-                    allocation[request.op_id] = granted + 1
-                    charge(request, 1, remaining)
+                a, b = request.qpu_a, request.qpu_b
+                if remaining[a] >= 1 and remaining[b] >= 1:
+                    allocation[op_id] = count + 1
+                    remaining[a] -= 1
+                    remaining[b] -= 1
                     progress = True
         return allocation
 

@@ -11,6 +11,7 @@ from .executor import (
     local_execution_time,
     mean_completion_time,
 )
+from .network_round import network_round
 
 __all__ = [
     "DEFAULT_LATENCY",
@@ -26,4 +27,5 @@ __all__ = [
     "SimulationError",
     "local_execution_time",
     "mean_completion_time",
+    "network_round",
 ]

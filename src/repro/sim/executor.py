@@ -19,16 +19,17 @@ are done and its local critical path has elapsed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Set
+from typing import Dict, Mapping, Optional, Sequence, Set
 
 import numpy as np
 
 from ..circuits import QuantumCircuit
 from ..cloud import QuantumCloud
 from ..network import EPRModel
-from ..scheduling import AllocationRequest, NetworkScheduler, RemoteDAG
+from ..scheduling import NetworkScheduler, RemoteDAG
 from .front_layer import FrontLayer
 from .latency import DEFAULT_LATENCY, LatencyModel
+from .network_round import network_round
 
 
 class ExecutionError(RuntimeError):
@@ -178,26 +179,19 @@ class NetworkExecutor:
                 time = min(upcoming)
                 continue
 
-            requests = self._build_requests(active)
-            capacity = {
-                qpu_id: self.cloud.qpu(qpu_id).communication_capacity
-                for qpu_id in self.cloud.qpu_ids
-            }
-            allocation = self.scheduler.allocate(requests, capacity, rng=rng)
-
+            requests = [
+                request
+                for state in active
+                for request in state.front.requests(state.job.job_id)
+            ]
+            succeeded = network_round(
+                requests, self.cloud, self.scheduler, self.epr_model, rng
+            )
             round_end = time + self.latency.epr_preparation
             completion_tail = self.latency.two_qubit_gate + self.latency.measurement
-            for request in requests:
-                granted = allocation.get(request.op_id, 0)
-                if granted <= 0:
-                    continue
-                job_id, node_id = request.op_id
-                success = self.epr_model.sample_round(
-                    request.qpu_a, request.qpu_b, granted, rng
-                )
-                if success:
-                    finish = round_end + completion_tail
-                    states[job_id].finish_operation(node_id, finish)
+            finish = round_end + completion_tail
+            for job_id, node_id in succeeded:
+                states[job_id].finish_operation(node_id, finish)
 
             for state in active:
                 state.rounds += 1
@@ -229,12 +223,6 @@ class NetworkExecutor:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _build_requests(self, active: Sequence[_JobState]) -> List[AllocationRequest]:
-        requests: List[AllocationRequest] = []
-        for state in active:
-            requests.extend(state.front.requests(state.job.job_id))
-        return requests
-
     def _result(self, state: _JobState, rounds: int) -> JobExecutionResult:
         start = state.job.start_time
         remote_finish = state.last_finish

@@ -14,7 +14,7 @@ event-driven flow is documented in ``docs/architecture.md``.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Set
+from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from ..scheduling import AllocationRequest, RemoteDAG
 
@@ -22,7 +22,14 @@ from ..scheduling import AllocationRequest, RemoteDAG
 class FrontLayer:
     """Tracks the ready front of one job's remote DAG as operations finish."""
 
-    __slots__ = ("dag", "pending_predecessors", "ready", "completed", "last_finish")
+    __slots__ = (
+        "dag",
+        "pending_predecessors",
+        "ready",
+        "completed",
+        "last_finish",
+        "_requests",
+    )
 
     def __init__(self, dag: RemoteDAG, start_time: float = 0.0) -> None:
         self.dag = dag
@@ -35,6 +42,8 @@ class FrontLayer:
         }
         self.completed = 0
         self.last_finish = start_time
+        # (job id, requests) of the current ready set; see requests().
+        self._requests: Optional[Tuple[str, List[AllocationRequest]]] = None
 
     @property
     def done(self) -> bool:
@@ -86,8 +95,28 @@ class FrontLayer:
             credited += 1
         return credited
 
+    def restore(
+        self,
+        pending_predecessors: Mapping[int, int],
+        ready: Iterable[int],
+        completed: int,
+        last_finish: float,
+    ) -> None:
+        """Overwrite the progress counters with a checkpoint's values.
+
+        ``update()`` keeps the deterministic rebuild order of
+        ``pending_predecessors``; the cached requests belong to the old
+        ready set and are dropped.
+        """
+        self.pending_predecessors.update(pending_predecessors)
+        self.ready = set(ready)
+        self.completed = completed
+        self.last_finish = last_finish
+        self._requests = None
+
     def finish(self, node_id: int, finish_time: float) -> None:
         """Mark a ready operation finished, unlocking its successors."""
+        self._requests = None
         self.completed += 1
         self.last_finish = max(self.last_finish, finish_time)
         self.ready.remove(node_id)
@@ -97,7 +126,15 @@ class FrontLayer:
                 self.ready.add(successor)
 
     def requests(self, job_id: str) -> List[AllocationRequest]:
-        """Allocation requests for the current front layer, in node-id order."""
+        """Allocation requests for the current front layer, in node-id order.
+
+        The ready set only changes in :meth:`finish` (and :meth:`restore`),
+        so the list built here is returned again, unchanged, until then.
+        Callers must not mutate it.
+        """
+        cached = self._requests
+        if cached is not None and cached[0] == job_id:
+            return cached[1]
         requests: List[AllocationRequest] = []
         for node_id in self.ready_nodes():
             operation = self.dag.operation(node_id)
@@ -109,4 +146,5 @@ class FrontLayer:
                     priority=operation.priority,
                 )
             )
+        self._requests = (job_id, requests)
         return requests

@@ -111,3 +111,13 @@ class TestRouting:
         cloud = QuantumCloud(topology, qpus=qpus)
         assert widest_path_capacity(cloud, 0, 2) == 4
         assert widest_path_capacity(cloud, 0, 0) == 4
+
+    def test_drained_relay_does_not_narrow_the_path(self):
+        # A drained QPU keeps relaying entanglement swaps (the EPR model
+        # still routes through it), so both helpers treat it as a relay.
+        cloud = QuantumCloud(CloudTopology.line(3), communication_qubits_per_qpu=3)
+        cloud.remove_qpu(1)
+        assert bottleneck_communication_capacity(cloud, 0, 2) == 3
+        assert widest_path_capacity(cloud, 0, 2) == 3
+        model = EPRModel(cloud.topology, 0.5, qpu_probability=cloud.qpu_epr_probability)
+        assert model.pair_success_probability(0, 2) == 0.25
