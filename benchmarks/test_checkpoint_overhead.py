@@ -34,7 +34,6 @@ from typing import Optional
 
 import pytest
 
-from repro.cloud import job as job_module
 from repro.multitenant import (
     CheckpointConfig,
     DeadlineRescue,
@@ -108,8 +107,7 @@ def run_replay(
     fillers: int,
     checkpoint: Optional[CheckpointConfig] = None,
 ):
-    """One timed trace replay; job ids reset so legs are comparable."""
-    job_module.set_job_counter(0)
+    """One timed trace replay."""
     simulator = make_simulator(cycles, fillers)
     start = time.perf_counter()
     results = simulator.run_stream(
@@ -149,7 +147,6 @@ def test_checkpointed_replay_is_bit_identical_and_resumable(tmp_path):
     assert canonical(checkpointed) == canonical(plain)
     assert os.path.exists(snap_path)
 
-    job_module.set_job_counter(0)
     resumed = make_simulator(cycles, fillers).resume_stream(snap_path)
     assert canonical(resumed) == canonical(plain)
 
@@ -246,7 +243,6 @@ def build_report(
             plain_results
         )
 
-        job_module.set_job_counter(0)
         resume_start = time.perf_counter()
         resumed = make_simulator(cycles, fillers_per_cycle).resume_stream(
             snap_path

@@ -45,7 +45,7 @@ def _wide_front_state(width: int) -> "_ActiveJob":
         circuit.append(Gate("cx", (2 * index, 2 * index + 1)))
     mapping = {qubit: qubit % 2 for qubit in range(2 * width)}
     return _ActiveJob(
-        job=Job(circuit=circuit),
+        job=Job(circuit=circuit, job_id="job-0"),
         placement=Placement(circuit=circuit, mapping=mapping),
         remote_dag=RemoteDAG(circuit, mapping),
         local_time=0.0,

@@ -29,7 +29,6 @@ acceptance scale) and emits the numbers as ``BENCH_8.json``.
 from __future__ import annotations
 
 import io
-import itertools
 import math
 import time
 from typing import List, Optional
@@ -37,7 +36,6 @@ from typing import List, Optional
 import pytest
 
 from repro.cloud import CloudTopology, QuantumCloud
-from repro.cloud import job as job_module
 from repro.multitenant import (
     CalibrationWindow,
     DeadlineRescue,
@@ -143,8 +141,6 @@ def run_replay(
     telemetry: Optional[Telemetry] = None,
 ):
     """One full trace replay under the given policy and fault injector."""
-    # Align job ids across legs (scheduler tiebreaks read the id strings).
-    job_module._job_counter = itertools.count()
     simulator = MultiTenantSimulator(
         make_cloud(),
         placement_algorithm=CloudQCPlacement(**PLACEMENT_KWARGS),

@@ -27,20 +27,17 @@ replay); ``scripts/bench_report.py`` reuses the same trace builder at a
 reduced cycle count by default for CI smoke runs (``--full`` restores this
 file's acceptance scale).
 
-The global job counter is realigned between the two replay legs: network
-schedulers break ties lexicographically on job ids (the documented Figs. 14-17
-quirk), so comparing two in-process runs requires both to mint the same ids.
+Each replay leg numbers its own jobs from ``job-0`` (ids are run-scoped), so
+the two legs are comparable in one process with no set-up between them.
 """
 
 from __future__ import annotations
 
-import itertools
 import time
 
 import pytest
 
 from repro.cloud import CloudTopology, QuantumCloud
-from repro.cloud import job as job_module
 from repro.circuits.library import get_circuit
 from repro.multitenant import MultiTenantSimulator, fifo_batch_manager
 from repro.placement import CloudQCPlacement, PlacementContext
@@ -94,8 +91,6 @@ def build_busy_trace(cycles: int, fillers_per_cycle: int):
 
 
 def run_replay(incremental: bool, cycles: int, fillers_per_cycle: int):
-    # Align job ids across legs (scheduler tiebreaks read the id strings).
-    job_module._job_counter = itertools.count()
     simulator = MultiTenantSimulator(
         make_cloud(),
         placement_algorithm=CloudQCPlacement(**PLACEMENT_KWARGS),

@@ -35,7 +35,6 @@ import time
 import pytest
 
 from repro.cloud import CloudTopology, QuantumCloud
-from repro.cloud import job as job_module
 from repro.multitenant import (
     DeadlineRescue,
     MultiTenantSimulator,
@@ -83,10 +82,6 @@ def run_replay(
     keep_results=True,
 ):
     """One full trace replay under the given preemption policy."""
-    # Align job ids across legs (scheduler tiebreaks read the id strings).
-    import itertools
-
-    job_module._job_counter = itertools.count()
     simulator = MultiTenantSimulator(
         make_cloud(),
         placement_algorithm=CloudQCPlacement(**PLACEMENT_KWARGS),

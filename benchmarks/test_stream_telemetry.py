@@ -29,7 +29,6 @@ import numpy as np
 import pytest
 
 from repro.cloud import CloudTopology, QuantumCloud
-from repro.cloud import job as job_module
 from repro.multitenant import (
     MultiTenantSimulator,
     QueueingDeadline,
@@ -91,10 +90,6 @@ def make_trace(num_jobs: int):
 
 def run_replay(trace, telemetry=None, keep_results=True):
     """One deadline-admission replay; returns (results, seconds)."""
-    # Align job ids across legs (scheduler tiebreaks read the id strings).
-    import itertools
-
-    job_module._job_counter = itertools.count()
     simulator = MultiTenantSimulator(
         make_cloud(),
         placement_algorithm=RandomPlacement(),

@@ -32,7 +32,6 @@ queueing-deadline admission) so the memory numbers are comparable.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import sys
 import tempfile
 import time
@@ -41,7 +40,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.cloud import job as job_module
 from repro.multitenant import (
     MultiTenantSimulator,
     QueueingDeadline,
@@ -99,8 +97,6 @@ WARMUP_JOBS = 500
 
 def make_simulator() -> MultiTenantSimulator:
     """The BENCH_6 replay configuration (deadline admission, FIFO batches)."""
-    # Align job ids across legs (scheduler tiebreaks read the id strings).
-    job_module._job_counter = itertools.count()
     return MultiTenantSimulator(
         make_cloud(),
         placement_algorithm=RandomPlacement(),

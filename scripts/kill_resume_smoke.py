@@ -41,7 +41,6 @@ import time
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.cloud import job as job_module  # noqa: E402
 from repro.multitenant import CheckpointConfig, Telemetry  # noqa: E402
 
 
@@ -63,7 +62,6 @@ def run_child(args) -> int:
     """Child mode: the checkpointed replay the parent is going to kill."""
     module = _load_bench_module()
     telemetry = Telemetry(events=args.events)
-    job_module.set_job_counter(0)
     simulator = module.make_simulator(args.cycles, args.fillers)
     simulator.run_stream(
         trace=args.trace,
@@ -124,7 +122,6 @@ def run_drill(args) -> int:
         )
 
         # Resume from the snapshot the crash left behind.
-        job_module.set_job_counter(0)
         resume_sink = Telemetry()
         resumed = module.make_simulator(args.cycles, args.fillers).resume_stream(
             snapshot, telemetry=resume_sink
@@ -133,10 +130,9 @@ def run_drill(args) -> int:
         with open(events, "rb") as handle:
             resumed_events = handle.read()
 
-        # The uninterrupted reference run, same process, fresh job ids.
+        # The uninterrupted reference run, in the same process.
         baseline_events = os.path.join(directory, "baseline_events.jsonl")
         baseline_sink = Telemetry(events=baseline_events)
-        job_module.set_job_counter(0)
         baseline = module.make_simulator(args.cycles, args.fillers).run_stream(
             trace=trace, seed=module.SIM_SEED, telemetry=baseline_sink
         )

@@ -22,23 +22,25 @@ class Controller:
     """Tracks jobs, admits placements, and exposes cloud status."""
 
     #: Controller state is serialized *externally*: the simulator's
-    #: ``_capture_state`` stores the job table under ``"jobs"`` and the
-    #: fleet under ``"cloud"``.  Listing those keys here keeps detlint's
-    #: CKPT001 watching this class -- a new ``self.`` attribute must be
-    #: added to the external snapshot (or excluded with a reason) before
-    #: the lint passes again.
-    _CHECKPOINT_KEYS = ("jobs", "cloud")
+    #: ``_capture_state`` stores the job table under ``"jobs"``, the fleet
+    #: under ``"cloud"`` and the next job number under ``"job_counter"``.
+    #: Listing those keys here keeps detlint's CKPT001 watching this class
+    #: -- a new ``self.`` attribute must be added to the external snapshot
+    #: (or excluded with a reason) before the lint passes again.
+    _CHECKPOINT_KEYS = ("jobs", "cloud", "job_counter")
 
     def __init__(self, cloud: QuantumCloud) -> None:
         self.cloud = cloud
         self.jobs: Dict[str, Job] = {}
+        self.job_counter = 0  # run-scoped: ids never depend on earlier runs
 
     # ------------------------------------------------------------------
     # Job lifecycle
     # ------------------------------------------------------------------
     def submit(self, circuit: QuantumCircuit, arrival_time: float = 0.0) -> Job:
-        """Register a new tenant job in PENDING state."""
-        job = Job(circuit=circuit, arrival_time=arrival_time)
+        """Register a new tenant job in PENDING state as ``job-<n>``."""
+        job = Job(circuit, f"job-{self.job_counter}", arrival_time)
+        self.job_counter += 1
         self.jobs[job.job_id] = job
         return job
 

@@ -9,8 +9,7 @@ the circuit's structure.
 from __future__ import annotations
 
 import enum
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..circuits import QuantumCircuit
@@ -24,35 +23,6 @@ class JobStatus(enum.Enum):
     RUNNING = "running"
     COMPLETED = "completed"
     FAILED = "failed"
-
-
-_job_counter = itertools.count()
-
-# Shadow of the counter's next value, maintained by ``_next_job_id``.  The
-# counter itself must stay a plain iterator (tests rebind it with
-# ``job_module._job_counter = itertools.count()`` to reset ids), and
-# ``itertools.count`` cannot be inspected without consuming it -- so the
-# checkpoint subsystem reads this shadow instead.
-_next_issued = 0
-
-
-def _next_job_id() -> str:
-    global _next_issued
-    value = next(_job_counter)
-    _next_issued = value + 1
-    return f"job-{value}"
-
-
-def job_counter_state() -> int:
-    """Next integer ``_next_job_id`` would issue (for checkpointing)."""
-    return _next_issued
-
-
-def set_job_counter(value: int) -> None:
-    """Rewind/advance the job-id counter (restoring from a checkpoint)."""
-    global _job_counter, _next_issued
-    _job_counter = itertools.count(value)
-    _next_issued = value
 
 
 @dataclass
@@ -76,7 +46,8 @@ class Job:
     )
 
     circuit: QuantumCircuit
-    job_id: str = field(default_factory=_next_job_id)
+    #: Unique within one run; :meth:`Controller.submit` issues ``job-<n>``.
+    job_id: str
     arrival_time: float = 0.0
     status: JobStatus = JobStatus.PENDING
     placement: Optional[Dict[int, int]] = None

@@ -15,6 +15,7 @@ Rule catalog (see ``docs/architecture.md``, "Determinism lint"):
 DET001    unseeded or process-global RNG use
 DET002    wall-clock / entropy nondeterminism sources
 DET003    order-sensitive accumulation over unordered collections
+DET004    module-level mutable state (``global`` rebinding, counters)
 CKPT001   checkpoint-coverage drift (``self.`` attribute not captured)
 CKPT002   snapshot/restore key asymmetry
 WVR001    waiver without a written reason

@@ -1,6 +1,6 @@
-"""DET001/DET002/DET003: the determinism rules.
+"""DET001-DET004: the determinism rules.
 
-All three rules work on resolved *dotted names*: imports are tracked per
+All four rules work on resolved *dotted names*: imports are tracked per
 file (``import numpy as np`` makes ``np.random.seed`` resolve to
 ``numpy.random.seed``; ``from time import perf_counter`` makes a bare
 ``perf_counter()`` resolve to ``time.perf_counter``), so aliasing cannot
@@ -81,6 +81,17 @@ _SET_SINKS = frozenset({"sum", "min", "max", "list", "tuple", "sorted"})
 #: (list/tuple/sorted) are safe over an insertion-ordered view.
 _DICT_VIEW_SINKS = frozenset({"sum"})
 _DICT_VIEW_METHODS = frozenset({"keys", "values", "items"})
+
+# ----------------------------------------------------------------------
+# DET004: module-level mutable state
+# ----------------------------------------------------------------------
+#: Counters that, created outside any function, every run advances together.
+_GLOBAL_COUNTERS = frozenset({"itertools.count"})
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+_DET004_HINT = (
+    " is state every run in the process shares, so a seeded run depends on "
+    "what ran before it; keep it on the object that owns the run"
+)
 
 
 def _build_alias_map(tree: ast.Module) -> Dict[str, str]:
@@ -180,7 +191,7 @@ def _iterable_of(call_arg: ast.expr) -> ast.expr:
 def check_det(
     tree: ast.Module, source_lines: List[str], path: str
 ) -> List[Finding]:
-    """Run DET001-DET003 over one parsed module."""
+    """Run DET001-DET004 over one parsed module."""
     aliases = _build_alias_map(tree)
     findings: List[Finding] = []
 
@@ -196,17 +207,25 @@ def check_det(
             )
         )
 
+    functions = [node for node in ast.walk(tree) if isinstance(node, _FUNCTIONS)]
+    in_functions = {id(inner) for node in functions for inner in ast.walk(node)}
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
-            _check_call(node, aliases, add)
+            _check_call(node, aliases, add, id(node) not in in_functions)
         elif isinstance(node, (ast.For, ast.AsyncFor)):
             _check_loop_accumulation(node, add)
+        elif isinstance(node, ast.Global):
+            add("DET004", node, f"global {', '.join(node.names)}" + _DET004_HINT)
     return findings
 
 
-def _check_call(call: ast.Call, aliases: Dict[str, str], add) -> None:
+def _check_call(call: ast.Call, aliases: Dict[str, str], add, module_level) -> None:
     name = _dotted_name(call.func, aliases)
     if name is not None:
+        # DET004 -- a counter created once per process.
+        if name in _GLOBAL_COUNTERS and module_level:
+            add("DET004", call, f"module-level {name}()" + _DET004_HINT)
+            return
         # DET001 -- global/unseeded RNG.
         if name in _SEEDABLE_CONSTRUCTORS:
             if _is_unseeded(call):

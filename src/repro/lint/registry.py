@@ -54,6 +54,14 @@ RULES: Dict[str, Rule] = {
             ),
         ),
         Rule(
+            code="DET004",
+            title="module-level mutable state",
+            rationale=(
+                "`global` rebinding and module-level itertools.count() are shared "
+                "by every run in a process: a seeded run depends on earlier ones."
+            ),
+        ),
+        Rule(
             code="CKPT001",
             title="checkpoint-coverage drift",
             rationale=(

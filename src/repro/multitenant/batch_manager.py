@@ -68,11 +68,9 @@ class BatchManager:
         if self.config.mode is BatchMode.FIFO:
             # Stable sort: jobs with equal arrival times keep submission order.
             return sorted(jobs, key=lambda job: job.arrival_time)
-        # Known quirk, kept deliberately: the equal-metric tiebreak compares
-        # job ids lexicographically, so "job-10" sorts before "job-9" when the
-        # process-global job counter crosses a power of ten.  Changing it moves
-        # the pinned Figs. 14-17 numbers; see docs/architecture.md
-        # ("Known quirk: priority-mode tiebreak") for the re-baseline plan.
+        # Known quirk, kept deliberately: equal metrics tiebreak on job-id
+        # strings, so "job-10" sorts before "job-9".  Changing it moves the
+        # pinned Figs. 14-17 numbers (docs/architecture.md, "Known quirk").
         ordered = sorted(
             jobs,
             key=lambda job: (self.metric(job), job.job_id),

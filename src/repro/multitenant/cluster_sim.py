@@ -77,7 +77,6 @@ import numpy as np
 
 from ..circuits import QuantumCircuit
 from ..cloud import QPU, Controller, Job, JobStatus, PlacementError, QuantumCloud
-from ..cloud.job import job_counter_state, set_job_counter
 from ..community import CommunityError
 from ..network import EPRModel
 from ..placement import (
@@ -1537,7 +1536,7 @@ class _EventDrivenBatch:
             "trace": self._trace_info,
             "engine": self.loop.snapshot_state(),
             "rng": self.rng.bit_generator.state,
-            "job_counter": job_counter_state(),
+            "job_counter": self.controller.job_counter,
             "cloud": self._capture_cloud(),
             "jobs": self._capture_jobs(),
             "pending": [job.job_id for job in self.pending],
@@ -1727,7 +1726,7 @@ class _EventDrivenBatch:
 
     def _restore_state(self, state: Dict[str, Any], telemetry) -> None:
         """Adopt a full snapshot into this freshly constructed batch."""
-        set_job_counter(int(state["job_counter"]))
+        self.controller.job_counter = int(state["job_counter"])
         self.rng.bit_generator.state = state["rng"]
         self._restore_cloud(state["cloud"])
         self.controller.jobs.clear()
@@ -1962,9 +1961,7 @@ class _EventDrivenBatch:
             raise ClusterSimulationError(
                 "event queue drained with unfinished active jobs"
             )
-        # Length-then-lexicographic sorts the default "job-<n>" ids numerically,
-        # so the result order does not depend on the process-global job counter
-        # crossing a power of ten.
+        # (len, id) sorts the "job-<n>" ids numerically: in submission order.
         return sorted(
             self.results, key=lambda result: (len(result.job_id), result.job_id)
         )
@@ -2318,6 +2315,7 @@ class MultiTenantSimulator:
         ``seed + i``.  With ``seed=None`` every batch draws fresh, independent
         OS entropy (it does *not* silently fall back to seeds 0, 1, 2, ...),
         so repeated unseeded runs sample genuinely different executions.
+        Job ids are run-scoped, so every batch numbers its jobs from ``job-0``.
         """
         pooled: List[TenantJobResult] = []
         for index, batch in enumerate(batches):

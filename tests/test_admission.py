@@ -47,7 +47,7 @@ def contended_cloud(epr_success_probability=1.0):
 
 
 def job(num_qubits=4, arrival_time=0.0):
-    return Job(circuit=ghz(num_qubits), arrival_time=arrival_time)
+    return Job(circuit=ghz(num_qubits), job_id="job-0", arrival_time=arrival_time)
 
 
 class RejectEverything(AdmissionPolicy):

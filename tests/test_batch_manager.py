@@ -13,7 +13,9 @@ from repro.multitenant import (
 )
 
 
-def make_job(num_qubits, two_qubit_gates, serial=False, arrival=0.0, name="job"):
+def make_job(
+    num_qubits, two_qubit_gates, serial=False, arrival=0.0, name="job", job_id="job-0"
+):
     """Build a job: ``serial`` chains every CX on one pair (deep), otherwise the
     gates are spread over disjoint pairs (shallow and wide)."""
     circuit = QuantumCircuit(num_qubits, name=name)
@@ -21,7 +23,7 @@ def make_job(num_qubits, two_qubit_gates, serial=False, arrival=0.0, name="job")
     for index in range(two_qubit_gates):
         a, b = pairs[0] if serial else pairs[index % len(pairs)]
         circuit.cx(a, b)
-    return Job(circuit=circuit, arrival_time=arrival)
+    return Job(circuit=circuit, job_id=job_id, arrival_time=arrival)
 
 
 class TestPriorityOrdering:
@@ -57,7 +59,7 @@ class TestPriorityOrdering:
         assert width_first.order([deep, wide])[0] is deep
 
     def test_order_does_not_mutate_input(self):
-        jobs = [make_job(4, 2), make_job(8, 10)]
+        jobs = [make_job(4, 2), make_job(8, 10, job_id="job-1")]
         original = list(jobs)
         priority_batch_manager().order(jobs)
         assert jobs == original
@@ -84,8 +86,8 @@ class TestFifoOrdering:
         assert priority_batch_manager().config.mode is BatchMode.PRIORITY
 
     def test_fifo_ties_keep_submission_order(self):
-        a = make_job(4, 2, arrival=0.0)
-        b = make_job(4, 2, arrival=0.0)
+        a = make_job(4, 2, arrival=0.0, job_id="job-0")
+        b = make_job(4, 2, arrival=0.0, job_id="job-1")
         ordered = fifo_batch_manager().order([b, a])
         assert ordered == [b, a]
 

@@ -7,7 +7,6 @@ import signal
 
 import pytest
 
-import repro.cloud.job as job_module
 from repro.circuits.library import ghz
 from repro.cloud import CloudTopology, QuantumCloud
 from repro.multitenant import (
@@ -279,7 +278,6 @@ def stream_snapshot(tmp_path):
         ).iter_records(),
     )
     snap_path = str(tmp_path / "snap.json")
-    job_module.set_job_counter(0)
     _make_sim().run_stream(
         trace=trace_path,
         seed=3,
@@ -320,7 +318,6 @@ class TestResumeRefusal:
         assert excinfo.value.field == "telemetry"
 
     def test_matching_configuration_resumes(self, stream_snapshot):
-        job_module.set_job_counter(0)
         results = _make_sim().resume_stream(stream_snapshot)
         assert results  # ran to completion
 
@@ -366,10 +363,8 @@ class TestSignalSnapshot:
         )
         snap_path = str(tmp_path / "snap.json")
 
-        job_module.set_job_counter(0)
         baseline = _make_sim().run_stream(trace=trace_path, seed=3)
 
-        job_module.set_job_counter(0)
         interrupted = _make_sim(admission=_RaiseSignalAfter(6, signum))
         with pytest.raises((KeyboardInterrupt, SystemExit)) as excinfo:
             interrupted.run_stream(
@@ -385,7 +380,6 @@ class TestSignalSnapshot:
         )
         assert excinfo.type is KeyboardInterrupt
         assert os.path.exists(snap_path)
-        job_module.set_job_counter(0)
         # Same policy class (fingerprint match), armed to never fire again.
         resumed = _make_sim(
             admission=_RaiseSignalAfter(10**9, signal.SIGINT)

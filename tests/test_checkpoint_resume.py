@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.cloud.job as job_module
 import repro.multitenant.cluster_sim as cluster_sim
 from repro.cloud import CloudTopology, QuantumCloud
 from repro.multitenant import (
@@ -122,7 +121,6 @@ class _Scenario:
         )
 
     def _run(self, checkpoint=None, events_path=None):
-        job_module.set_job_counter(0)
         telemetry = Telemetry(events=events_path) if self.chaos else None
         results = self._make_sim().run_stream(
             trace=self.trace_path,
@@ -141,7 +139,6 @@ class _Scenario:
             # every index starts from the same on-disk state.
             with open(self.events_path, "wb") as handle:
                 handle.write(self.full_events)
-        job_module.set_job_counter(0)
         telemetry = Telemetry() if self.chaos else None
         results = self._make_sim().resume_stream(
             self.snapshots[snapshot_index], telemetry=telemetry
@@ -207,7 +204,6 @@ class TestResumeBitIdentity:
     def test_sim_time_cadence(self, tmp_root, tmp_path):
         scn = scenario(tmp_root, CloudQCScheduler)
         snap = str(tmp_path / "snap.json")
-        job_module.set_job_counter(0)
         results = scn._make_sim().run_stream(
             trace=scn.trace_path,
             seed=9,
@@ -215,7 +211,6 @@ class TestResumeBitIdentity:
         )
         assert canonical(results) == scn.baseline
         assert os.path.exists(snap)
-        job_module.set_job_counter(0)
         resumed = scn._make_sim().resume_stream(snap)
         assert canonical(resumed) == scn.baseline
 
@@ -225,11 +220,9 @@ class TestResumeBitIdentity:
         snapshot = scn.snapshots[0]
         target = json.load(open(snapshot))["state"]["checkpoint"]["path"]
         before = os.path.getmtime(target)
-        job_module.set_job_counter(0)
         scn._make_sim().resume_stream(snapshot)
         assert os.path.getmtime(target) >= before
         # and the refreshed snapshot is itself resumable
-        job_module.set_job_counter(0)
         assert canonical(scn._make_sim().resume_stream(target)) == scn.baseline
 
 

@@ -1,18 +1,27 @@
 """Tests for the multi-tenant cluster simulator."""
 
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.circuits import QuantumCircuit
 from repro.circuits.library import get_circuit, ghz, ising
 from repro.cloud import CloudTopology, QuantumCloud
 from repro.multitenant import (
+    CheckpointConfig,
     ClusterSimulationError,
     MultiTenantSimulator,
+    QueueingDeadline,
     fifo_batch_manager,
+    generate_cluster_trace,
     poisson_arrivals,
     priority_batch_manager,
 )
-from repro.placement import CloudQCPlacement
+from repro.placement import CloudQCPlacement, RandomPlacement
 from repro.scheduling import CloudQCScheduler
 
 
@@ -225,13 +234,6 @@ class TestIncrementalPlacementFastPath:
 
     @staticmethod
     def _aligned_run(incremental, circuits, arrivals, seed):
-        # Network-scheduler tiebreaks read job-id strings, so comparable runs
-        # must mint identical ids: realign the process-global counter.
-        import itertools
-
-        from repro.cloud import job as job_module
-
-        job_module._job_counter = itertools.count()
         topology = CloudTopology.line(4)
         cloud = QuantumCloud(
             topology,
@@ -312,3 +314,109 @@ class TestIncrementalPlacementFastPath:
             "a (job, resource_version) pair was attempted twice despite an "
             "unchanged failure signature"
         )
+
+
+def cluster_replay_simulator():
+    """The BENCH_6 replay configuration: random placement, FIFO batches and
+    queueing-deadline admission on a four-QPU line."""
+    cloud = QuantumCloud(
+        CloudTopology.line(4),
+        computing_qubits_per_qpu=16,
+        communication_qubits_per_qpu=4,
+        epr_success_probability=0.95,
+    )
+    return MultiTenantSimulator(
+        cloud,
+        placement_algorithm=RandomPlacement(),
+        network_scheduler=CloudQCScheduler(),
+        batch_manager=fifo_batch_manager(),
+        admission_policy=QueueingDeadline(300.0),
+    )
+
+
+def cluster_replay_trace(num_jobs):
+    return generate_cluster_trace(
+        num_jobs,
+        num_tenants=2000,
+        base_rate=0.25,
+        diurnal_amplitude=0.6,
+        diurnal_period=5000.0,
+        seed=3,
+        names=["ghz_n4", "ghz_n6", "ghz_n8", "ghz_n12", "ghz_n16"],
+    )
+
+
+def result_keys(results):
+    """Every field of every result, as text (NaN-safe for comparison)."""
+    return [repr(sorted(vars(result).items())) for result in results]
+
+
+def cluster_replay_digest(num_jobs=1500):
+    """SHA-256 over the per-job results of one seeded cluster replay."""
+    trace = cluster_replay_trace(num_jobs)
+    results = cluster_replay_simulator().run_stream(
+        trace.circuits, trace.arrival_times, seed=1, tenants=trace.tenant_ids
+    )
+    return hashlib.sha256("\n".join(result_keys(results)).encode()).hexdigest()
+
+
+class TestRunScopedJobIds:
+    """A seeded run's output depends only on its configuration, trace and
+    seed -- not on what ran earlier in the process, nor on the hash seed."""
+
+    def test_replay_twice_in_one_process_is_identical(self):
+        trace = cluster_replay_trace(1500)
+        runs = [
+            cluster_replay_simulator().run_stream(
+                trace.circuits,
+                trace.arrival_times,
+                seed=1,
+                tenants=trace.tenant_ids,
+            )
+            for _ in range(2)
+        ]
+        for results in runs:
+            assert [r.job_id for r in results] == [
+                f"job-{n}" for n in range(1500)
+            ]
+        assert result_keys(runs[0]) == result_keys(runs[1])
+
+    def test_resume_after_unrelated_run_is_bit_identical(self, tmp_path):
+        trace = cluster_replay_trace(300)
+        snapshot = str(tmp_path / "snap.json")
+        checkpointed = cluster_replay_simulator().run_stream(
+            trace.circuits,
+            trace.arrival_times,
+            seed=1,
+            tenants=trace.tenant_ids,
+            checkpoint=CheckpointConfig(path=snapshot, every_jobs=100),
+        )
+        assert os.path.exists(snapshot)
+        # Another simulation in between submits jobs of its own.
+        make_simulator(contended_cloud()).run_batch([ghz(24), ghz(8)], seed=5)
+        resumed = cluster_replay_simulator().resume_stream(snapshot)
+        assert result_keys(resumed) == result_keys(checkpointed)
+
+    def test_digest_is_independent_of_hash_seed(self):
+        repo_root = Path(__file__).resolve().parent.parent
+        code = (
+            "import sys; sys.path.insert(0, sys.argv[1]); "
+            "from test_cluster_sim import cluster_replay_digest; "
+            "print(cluster_replay_digest())"
+        )
+        digests = set()
+        for hash_seed in ("0", "4242"):
+            env = dict(
+                os.environ,
+                PYTHONHASHSEED=hash_seed,
+                PYTHONPATH=str(repo_root / "src"),
+            )
+            result = subprocess.run(
+                [sys.executable, "-c", code, str(repo_root / "tests")],
+                env=env,
+                capture_output=True,
+                text=True,
+                check=True,
+            )
+            digests.add(result.stdout.strip())
+        assert digests == {cluster_replay_digest()}

@@ -12,6 +12,14 @@ class TestSubmission:
         assert controller.job(job.job_id) is job
         assert controller.pending_jobs() == [job]
 
+    def test_job_ids_are_run_scoped(self, small_cloud, bell_circuit):
+        first = Controller(small_cloud)
+        ids = [first.submit(bell_circuit).job_id for _ in range(12)]
+        assert ids == [f"job-{n}" for n in range(12)]
+        assert first.job_counter == 12
+        second = Controller(small_cloud)
+        assert [second.submit(bell_circuit).job_id for _ in range(3)] == ids[:3]
+
     def test_unknown_job_lookup_returns_none(self, small_cloud):
         controller = Controller(small_cloud)
         assert controller.job("missing") is None
@@ -30,7 +38,7 @@ class TestPlacementLifecycle:
         controller = Controller(small_cloud)
         from repro.cloud import Job
 
-        rogue = Job(circuit=bell_circuit)
+        rogue = Job(circuit=bell_circuit, job_id="rogue")
         with pytest.raises(KeyError):
             controller.place(rogue, {0: 0, 1: 1})
 

@@ -66,6 +66,7 @@ def found_markers(report) -> Counter:
         "det001_positive.py",
         "det002_positive.py",
         "det003_positive.py",
+        "det004_positive.py",
         "ckpt001_positive.py",
         "ckpt002_positive.py",
     ],
@@ -82,6 +83,7 @@ def test_positive_fixture_findings_match_markers(fixture):
         "det001_negative.py",
         "det002_negative.py",
         "det003_negative.py",
+        "det004_negative.py",
         "ckpt001_negative.py",
         "ckpt002_negative.py",
     ],
@@ -94,7 +96,7 @@ def test_negative_fixture_is_clean(fixture):
 
 def test_positive_fixtures_cover_their_rule():
     """Each positive fixture plants violations of the rule it is named for."""
-    for rule in ("DET001", "DET002", "DET003", "CKPT001", "CKPT002"):
+    for rule in ("DET001", "DET002", "DET003", "DET004", "CKPT001", "CKPT002"):
         report = lint_fixture(f"{rule.lower()}_positive.py")
         assert any(f.rule == rule for f in report.findings)
 
@@ -213,6 +215,7 @@ PLANTED = {
     "DET001": "import random\nx = random.random()\n",
     "DET002": "import time\nx = time.time()\n",
     "DET003": "x = sum({1.0, 2.0})\n",
+    "DET004": "import itertools\n_ids = itertools.count()\n",
     "CKPT001": (
         "class C:\n"
         "    def __init__(self):\n"

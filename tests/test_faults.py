@@ -14,7 +14,6 @@ matter what the fleet does.
 from __future__ import annotations
 
 import io
-import itertools
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +21,6 @@ from hypothesis import strategies as st
 
 from repro.circuits.library import ghz, ising
 from repro.cloud import CloudTopology, QPU, QuantumCloud
-from repro.cloud import job as job_module
 from repro.multitenant import (
     CalibrationWindow,
     ChaosSpec,
@@ -94,9 +92,6 @@ def run_stream(
     admission_policy=None,
     preemption_policy=None,
 ):
-    # Realign the process-global job counter so comparable runs mint
-    # identical job ids (scheduler tiebreaks read the id strings).
-    job_module._job_counter = itertools.count()
     simulator = MultiTenantSimulator(
         cloud,
         placement_algorithm=CloudQCPlacement(),

@@ -21,7 +21,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.cloud.job as job_module
 import repro.multitenant.cluster_sim as cluster_sim
 from repro.circuits.library import get_circuit
 from repro.cloud import CloudTopology, QuantumCloud
@@ -330,7 +329,6 @@ def test_calibration_window_reaches_the_simulator_rounds():
             CloudQCScheduler(),
             fault_injector=FaultInjector(events),
         )
-        job_module.set_job_counter(0)
         return simulator.run_stream([get_circuit("qft_n16")], [0.0], seed=4)
 
     baseline = run([])
@@ -372,11 +370,9 @@ def test_resume_with_cached_requests_in_flight(tmp_path):
     def key(results):
         return [repr(sorted(r.__dict__.items())) for r in results]
 
-    job_module.set_job_counter(0)
     baseline = key(simulator().run_stream(circuits, arrivals, seed=6))
     cluster_sim.write_snapshot = keep_copy
     try:
-        job_module.set_job_counter(0)
         checkpointed = simulator().run_stream(
             circuits,
             arrivals,
@@ -395,6 +391,5 @@ def test_resume_with_cached_requests_in_flight(tmp_path):
             active = json.load(handle)["state"]["active"]
         if any(saved["front"]["ready"] for saved in active):
             in_flight += 1
-            job_module.set_job_counter(0)
             assert key(simulator().resume_stream(snapshot)) == baseline
     assert in_flight >= 2

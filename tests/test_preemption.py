@@ -1,13 +1,11 @@
 """Tests for preemption & migration: policies, work-loss model, simulator."""
 
-import itertools
 import math
 
 import pytest
 
 from repro.circuits.library import ghz, ising
 from repro.cloud import CloudTopology, QuantumCloud
-from repro.cloud import job as job_module
 from repro.multitenant import (
     ClusterView,
     DeadlineRescue,
@@ -684,9 +682,6 @@ class TestNeverPreemptBitIdentity:
 
     @staticmethod
     def _run(policy, scheduler_cls, arrivals, seed=7):
-        # Realign the process-global job counter: scheduler tiebreaks read
-        # job-id strings, so comparable runs must mint identical ids.
-        job_module._job_counter = itertools.count()
         cloud = QuantumCloud(
             CloudTopology.line(4),
             computing_qubits_per_qpu=16,

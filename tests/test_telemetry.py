@@ -11,7 +11,6 @@ all four schedulers, with ``telemetry=None`` runs unchanged from PR-5.
 from __future__ import annotations
 
 import io
-import itertools
 import json
 import math
 
@@ -22,7 +21,6 @@ from hypothesis import strategies as st
 
 from repro.circuits.library import ghz, ising
 from repro.cloud import CloudTopology, QuantumCloud
-from repro.cloud import job as job_module
 from repro.multitenant import (
     TELEMETRY_EVENTS,
     DeadlineRescue,
@@ -292,9 +290,6 @@ def run_golden_stream(
     admission_policy=None,
     preemption_policy=None,
 ):
-    # Realign the process-global job counter so comparable runs mint
-    # identical job ids (scheduler tiebreaks read the id strings).
-    job_module._job_counter = itertools.count()
     simulator = MultiTenantSimulator(
         small_cloud(),
         placement_algorithm=CloudQCPlacement(),
@@ -316,7 +311,6 @@ def run_golden_stream(
 
 
 def run_burst_replay(telemetry=None, preemption_policy=None, keep_results=True):
-    job_module._job_counter = itertools.count()
     trace = generate_anchor_burst_trace(cycles=6, fillers_per_cycle=8)
     simulator = MultiTenantSimulator(
         small_cloud(),
@@ -362,7 +356,6 @@ class TestTelemetryBitIdentity:
     def test_golden_stream_default_cloud_unchanged(self):
         # The exact pinned numbers of test_admission.py's golden stream --
         # the telemetry=None default path must reproduce PR-5 outputs.
-        job_module._job_counter = itertools.count()
         cloud = QuantumCloud.default(seed=7)
         simulator = MultiTenantSimulator(
             cloud,

@@ -6,7 +6,6 @@ import os
 
 import pytest
 
-import repro.cloud.job as job_module
 from repro.cloud import CloudTopology, QuantumCloud
 from repro.multitenant import (
     CheckpointConfig,
@@ -159,7 +158,6 @@ class TestSinkRestore:
         )
         cloud = QuantumCloud(CloudTopology.line(3), computing_qubits_per_qpu=10)
         sim = MultiTenantSimulator(cloud, CloudQCPlacement(), CloudQCScheduler())
-        job_module.set_job_counter(0)
         with open(tmp_path / "events.jsonl", "w") as stream:
             with pytest.raises(CheckpointError, match="path"):
                 sim.run_stream(

@@ -12,7 +12,6 @@ Also pins the ``run_stream``/``run_batch`` input-validation bugfix.
 from __future__ import annotations
 
 import io
-import itertools
 import json
 
 import numpy as np
@@ -20,7 +19,6 @@ import pytest
 
 from repro.circuits.library import ghz, ising
 from repro.cloud import CloudTopology, QuantumCloud
-from repro.cloud import job as job_module
 from repro.multitenant import (
     ClusterSimulationError,
     DeadlineRescue,
@@ -81,9 +79,6 @@ def small_cloud():
 
 
 def make_simulator(scheduler_cls, admission_policy=None, preemption_policy=None):
-    # Realign the process-global job counter so comparable runs mint
-    # identical job ids (scheduler tiebreaks read the id strings).
-    job_module._job_counter = itertools.count()
     return MultiTenantSimulator(
         small_cloud(),
         placement_algorithm=CloudQCPlacement(),
@@ -228,7 +223,6 @@ class TestStreamingEquivalence:
             [ghz(24), ising(34), ghz(16), ghz(24)], GOLDEN_ARRIVALS, seed=7
         )
         budget = 10_000
-        job_module._job_counter = itertools.count()
         tight = MultiTenantSimulator(
             small_cloud(),
             placement_algorithm=CloudQCPlacement(),
