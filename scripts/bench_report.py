@@ -104,39 +104,14 @@ from repro.multitenant import (  # noqa: E402
 from repro.placement import CloudQCPlacement, PlacementContext  # noqa: E402
 
 
-def _load_benchmark_module(filename: str, name: str):
+def _load_benchmark_module(filename: str):
     """Import a benchmark module so script and pytest share one workload."""
     path = REPO_ROOT / "benchmarks" / filename
+    name = path.stem.removeprefix("test_")
     spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
-
-
-def _load_hotpath_module():
-    return _load_benchmark_module("test_placement_hotpath.py", "placement_hotpath")
-
-
-def _load_preemption_module():
-    return _load_benchmark_module("test_stream_preemption.py", "stream_preemption")
-
-
-def _load_telemetry_module():
-    return _load_benchmark_module("test_stream_telemetry.py", "stream_telemetry")
-
-
-def _load_trace_module():
-    return _load_benchmark_module("test_stream_trace.py", "stream_trace")
-
-
-def _load_chaos_module():
-    return _load_benchmark_module("test_fleet_chaos.py", "fleet_chaos")
-
-
-def _load_checkpoint_module():
-    return _load_benchmark_module(
-        "test_checkpoint_overhead.py", "checkpoint_overhead"
-    )
 
 
 def measure_attempt_cost(hotpath, rounds: int) -> dict:
@@ -264,8 +239,7 @@ def measure_preemption(module, cycles: int, fillers: int) -> dict:
     }
 
 
-def run_bench4(args) -> tuple[dict, bool]:
-    hotpath = _load_hotpath_module()
+def run_bench4(hotpath, args) -> tuple[dict, bool]:
     cycles = args.cycles or (hotpath.CYCLES if args.full else 12)
     fillers = args.fillers or hotpath.FILLERS_PER_CYCLE
     report = {
@@ -295,8 +269,7 @@ def run_bench4(args) -> tuple[dict, bool]:
     return report, True
 
 
-def run_bench5(args) -> tuple[dict, bool]:
-    module = _load_preemption_module()
+def run_bench5(module, args) -> tuple[dict, bool]:
     cycles = args.cycles or (module.CYCLES if args.full else 20)
     fillers = args.fillers or module.FILLERS_PER_CYCLE
     report = {
@@ -325,8 +298,7 @@ def run_bench5(args) -> tuple[dict, bool]:
     return report, ok
 
 
-def run_bench6(args) -> tuple[dict, bool]:
-    module = _load_telemetry_module()
+def run_bench6(module, args) -> tuple[dict, bool]:
     num_jobs = args.jobs or module.NUM_JOBS
     report = module.build_report(num_jobs=num_jobs)
     report = {
@@ -364,8 +336,7 @@ def run_bench6(args) -> tuple[dict, bool]:
     return report, report["ok"]
 
 
-def run_bench7(args) -> tuple[dict, bool]:
-    module = _load_trace_module()
+def run_bench7(module, args) -> tuple[dict, bool]:
     num_jobs = args.jobs or module.NUM_JOBS
     baseline_jobs = args.baseline_jobs or module.BASELINE_JOBS
     report = module.build_report(num_jobs=num_jobs, baseline_jobs=baseline_jobs)
@@ -410,8 +381,7 @@ def run_bench7(args) -> tuple[dict, bool]:
     return report, report["ok"]
 
 
-def run_bench8(args) -> tuple[dict, bool]:
-    module = _load_chaos_module()
+def run_bench8(module, args) -> tuple[dict, bool]:
     cycles = args.cycles or (module.CYCLES if args.full else 20)
     fillers = args.fillers or module.FILLERS_PER_CYCLE
     report = module.build_report(cycles, fillers)
@@ -456,8 +426,7 @@ def run_bench8(args) -> tuple[dict, bool]:
     return report, report["ok"]
 
 
-def run_bench9(args) -> tuple[dict, bool]:
-    module = _load_checkpoint_module()
+def run_bench9(module, args) -> tuple[dict, bool]:
     cycles = args.cycles or (module.CYCLES if args.full else 20)
     fillers = args.fillers or module.FILLERS_PER_CYCLE
     # The acceptance cadence is one snapshot per 500 finished jobs; the CI
@@ -497,6 +466,18 @@ def run_bench9(args) -> tuple[dict, bool]:
     if not report["ok"]:
         print("ERROR: overhead budget or bit-identity violated")
     return report, report["ok"]
+
+
+#: ``--bench`` number -> (benchmark module whose builders the run drives,
+#: runner, default output file).
+BENCHES = {
+    4: ("test_placement_hotpath.py", run_bench4, "BENCH_4.json"),
+    5: ("test_stream_preemption.py", run_bench5, "BENCH_5.json"),
+    6: ("test_stream_telemetry.py", run_bench6, "BENCH_6.json"),
+    7: ("test_stream_trace.py", run_bench7, "BENCH_7.json"),
+    8: ("test_fleet_chaos.py", run_bench8, "BENCH_8.json"),
+    9: ("test_checkpoint_overhead.py", run_bench9, "BENCH_9.json"),
+}
 
 
 def run_events_report(args) -> tuple[dict, bool]:
@@ -539,7 +520,7 @@ def run_events_report(args) -> tuple[dict, bool]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--bench", type=int, choices=(4, 5, 6, 7, 8, 9), default=4,
+        "--bench", type=int, choices=tuple(BENCHES), default=4,
         help="which BENCH_<n>.json to produce "
         "(4=placement, 5=preemption, 6=telemetry, 7=trace-replay, "
         "8=fleet-chaos, 9=checkpoint-resume)",
@@ -578,24 +559,9 @@ def main(argv=None) -> int:
     if args.events is not None:
         report, ok = run_events_report(args)
         default_out = "EVENTS_REPORT.json"
-    elif args.bench == 4:
-        report, ok = run_bench4(args)
-        default_out = "BENCH_4.json"
-    elif args.bench == 5:
-        report, ok = run_bench5(args)
-        default_out = "BENCH_5.json"
-    elif args.bench == 6:
-        report, ok = run_bench6(args)
-        default_out = "BENCH_6.json"
-    elif args.bench == 7:
-        report, ok = run_bench7(args)
-        default_out = "BENCH_7.json"
-    elif args.bench == 8:
-        report, ok = run_bench8(args)
-        default_out = "BENCH_8.json"
     else:
-        report, ok = run_bench9(args)
-        default_out = "BENCH_9.json"
+        filename, runner, default_out = BENCHES[args.bench]
+        report, ok = runner(_load_benchmark_module(filename), args)
     out = pathlib.Path(args.out or default_out)
     out.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {out}")

@@ -81,10 +81,6 @@ class Controller:
             self.cloud.release(job.job_id)
         job.mark_failed()
 
-    def fail(self, job: Job) -> None:
-        """Deprecated spelling of :meth:`drop` (kept for API compatibility)."""
-        self.drop(job)
-
     def preempt(self, job: Job, time: float) -> None:
         """Evict a placed/running job back to PENDING, freeing its qubits.
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 from ..circuits import QuantumCircuit
 
@@ -28,22 +28,6 @@ class JobStatus(enum.Enum):
 @dataclass
 class Job:
     """A tenant request: one circuit plus scheduling metadata."""
-
-    #: Jobs are serialized externally by the simulator's ``_capture_job``;
-    #: every field below must appear there (detlint CKPT001 enforces this).
-    _CHECKPOINT_KEYS = (
-        "job_id",
-        "circuit",
-        "arrival_time",
-        "status",
-        "placement",
-        "start_time",
-        "completion_time",
-        "num_preemptions",
-        "num_migrations",
-        "last_preempted_time",
-        "last_migrated_time",
-    )
 
     circuit: QuantumCircuit
     #: Unique within one run; :meth:`Controller.submit` issues ``job-<n>``.
@@ -129,6 +113,55 @@ class Job:
         self.placement = dict(placement)
         self.num_migrations += 1
         self.last_migrated_time = time
+
+    def checkpoint_state(self) -> Dict[str, Any]:
+        """Json-serializable job state; the circuit is stored by name."""
+        return {
+            "job_id": self.job_id,
+            "circuit": self.circuit.name,
+            "arrival_time": self.arrival_time,
+            "status": self.status.value,
+            "placement": None
+            if self.placement is None
+            else [[qubit, qpu] for qubit, qpu in self.placement.items()],
+            "start_time": self.start_time,
+            "completion_time": self.completion_time,
+            "num_preemptions": self.num_preemptions,
+            "num_migrations": self.num_migrations,
+            "last_preempted_time": self.last_preempted_time,
+            "last_migrated_time": self.last_migrated_time,
+        }
+
+    @classmethod
+    def from_state(
+        cls,
+        state: Dict[str, Any],
+        resolve: Callable[[str], QuantumCircuit],
+    ) -> "Job":
+        """Rebuild a job from :meth:`checkpoint_state` output.
+
+        ``resolve`` maps the stored circuit name back to a circuit (the
+        simulator resolves it from the circuit library).
+        """
+
+        def optional_float(value: Optional[float]) -> Optional[float]:
+            return None if value is None else float(value)
+
+        return cls(
+            circuit=resolve(state["circuit"]),
+            job_id=state["job_id"],
+            arrival_time=float(state["arrival_time"]),
+            status=JobStatus(state["status"]),
+            placement=None
+            if state["placement"] is None
+            else {int(qubit): int(qpu) for qubit, qpu in state["placement"]},
+            start_time=optional_float(state["start_time"]),
+            completion_time=optional_float(state["completion_time"]),
+            num_preemptions=int(state["num_preemptions"]),
+            num_migrations=int(state["num_migrations"]),
+            last_preempted_time=optional_float(state["last_preempted_time"]),
+            last_migrated_time=optional_float(state["last_migrated_time"]),
+        )
 
     @property
     def job_completion_time(self) -> Optional[float]:

@@ -8,7 +8,7 @@ network scheduler one EPR-generation attempt at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Set
+from typing import Any, Dict, Optional, Set
 
 
 class ResourceError(RuntimeError):
@@ -33,18 +33,6 @@ class QPU:
         the effective probability of a link is the minimum of its two
         endpoints' values (a degraded QPU degrades every link it serves).
     """
-
-    #: QPUs are serialized externally by the simulator's ``_capture_cloud``;
-    #: every field below must appear there (detlint CKPT001 enforces this).
-    _CHECKPOINT_KEYS = (
-        "qpu_id",
-        "computing_capacity",
-        "communication_capacity",
-        "epr_success_probability",
-        "computing_used",
-        "communication_used",
-        "computing_version",
-    )
 
     qpu_id: int
     computing_capacity: int = 20
@@ -161,6 +149,41 @@ class QPU:
     @property
     def utilization(self) -> float:
         return self.computing_used / self.computing_capacity
+
+    # ------------------------------------------------------------------
+    # Checkpointing
+    # ------------------------------------------------------------------
+    def checkpoint_state(self) -> Dict[str, Any]:
+        """Json-serializable QPU state, allocations and mutation counter."""
+        return {
+            "qpu_id": self.qpu_id,
+            "computing_capacity": self.computing_capacity,
+            "communication_capacity": self.communication_capacity,
+            "epr_success_probability": self.epr_success_probability,
+            "computing_used": [
+                [job_id, amount] for job_id, amount in self._computing_used.items()
+            ],
+            "communication_used": self._communication_used,
+            "computing_version": self._computing_version,
+        }
+
+    @classmethod
+    def from_state(cls, state: Dict[str, Any]) -> "QPU":
+        """Rebuild a QPU from :meth:`checkpoint_state` output."""
+        probability = state["epr_success_probability"]
+        return cls(
+            qpu_id=int(state["qpu_id"]),
+            computing_capacity=int(state["computing_capacity"]),
+            communication_capacity=int(state["communication_capacity"]),
+            epr_success_probability=None
+            if probability is None
+            else float(probability),
+            _computing_used={
+                job_id: int(amount) for job_id, amount in state["computing_used"]
+            },
+            _communication_used=int(state["communication_used"]),
+            _computing_version=int(state["computing_version"]),
+        )
 
     def snapshot(self) -> Dict[str, int]:
         """A plain-dict view of the QPU state (used by the controller/monitor)."""

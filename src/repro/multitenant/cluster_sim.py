@@ -92,7 +92,6 @@ from ..sim import (
     EventLoop,
     FrontLayer,
     LatencyModel,
-    SimulationError,
     local_execution_time,
     network_round,
 )
@@ -212,6 +211,44 @@ class TenantJobResult:
             return self.dropped_time - self.arrival_time
         return math.nan
 
+    def checkpoint_state(self) -> Dict[str, Any]:
+        """Json-serializable result for a checkpoint snapshot."""
+        return {
+            "job_id": self.job_id,
+            "circuit_name": self.circuit_name,
+            "arrival_time": self.arrival_time,
+            "placement_time": self.placement_time,
+            "completion_time": self.completion_time,
+            "num_remote_operations": self.num_remote_operations,
+            "num_qpus_used": self.num_qpus_used,
+            "outcome": self.outcome.value,
+            "dropped_time": self.dropped_time,
+            "num_preemptions": self.num_preemptions,
+            "num_migrations": self.num_migrations,
+            "wasted_time": self.wasted_time,
+            "wasted_ops": self.wasted_ops,
+        }
+
+    @classmethod
+    def from_state(cls, state: Dict[str, Any]) -> "TenantJobResult":
+        """Rebuild a result from :meth:`checkpoint_state` output."""
+        dropped = state["dropped_time"]
+        return cls(
+            job_id=state["job_id"],
+            circuit_name=state["circuit_name"],
+            arrival_time=float(state["arrival_time"]),
+            placement_time=float(state["placement_time"]),
+            completion_time=float(state["completion_time"]),
+            num_remote_operations=int(state["num_remote_operations"]),
+            num_qpus_used=int(state["num_qpus_used"]),
+            outcome=JobOutcome(state["outcome"]),
+            dropped_time=None if dropped is None else float(dropped),
+            num_preemptions=int(state["num_preemptions"]),
+            num_migrations=int(state["num_migrations"]),
+            wasted_time=float(state["wasted_time"]),
+            wasted_ops=int(state["wasted_ops"]),
+        )
+
 
 @dataclass
 class _ActiveJob:
@@ -239,10 +276,6 @@ class _ActiveJob:
     @property
     def completed_ops(self) -> int:
         return self.front.completed
-
-    @property
-    def remote_done(self) -> bool:
-        return self.front.done
 
     def finish_operation(self, node_id: int, finish_time: float) -> None:
         self.front.finish(node_id, finish_time)
@@ -295,9 +328,7 @@ class _EventDrivenBatch:
         "_records": "live record iterator; a resumed run re-opens the trace and seeks via the 'cursor' key",
         "_trace_cursor": "captured as the 'cursor' key via TraceCursor checkpointing",
         "_stream_capacity": "derived from the template cloud's total capacity in __init__",
-        "_restored": "transient flag marking a freshly restored batch; meaningless inside a snapshot",
         "_signal_flag": "transient kill-signal latch; a snapshot is always taken with the flag clear",
-        "_job_capture_cache": "memo for _capture_job keyed by object identity; identity does not survive a restore",
         "_captured_results": "memo of already-serialized results; rebuilt lazily after restore",
     }
 
@@ -328,15 +359,11 @@ class _EventDrivenBatch:
         self._seed = seed
         self._checkpoint = checkpoint
         self._trace_info = trace_info
-        self._restored = restoring
         self._pending_record: Optional[Dict[str, Any]] = None
         self._results_recorded = 0
         self._signal_flag: Optional[int] = None
-        # Capture caches: a COMPLETED job and a recorded result are frozen,
-        # so repeated snapshots reuse their captured form instead of
-        # re-serializing every finished job (on a long keep_results=True
-        # run each snapshot would otherwise cost O(finished jobs)).
-        self._job_capture_cache: Dict[str, Dict[str, Any]] = {}
+        # A recorded result is frozen, so repeated snapshots reuse its
+        # captured form instead of re-serializing every finished job.
         self._captured_results: List[Dict[str, Any]] = []
         if checkpoint is not None and telemetry is not None:
             if telemetry._stream is not None and telemetry._events_path is None:
@@ -507,7 +534,7 @@ class _EventDrivenBatch:
                 if check is not None:
                     self.loop.schedule_at(
                         max(check, now),
-                        self._rescue_check_callback(job),
+                        self._rescue_check_callback(job.job_id),
                         label=f"preempt-check:{job.job_id}",
                     )
         self.resources_changed = True
@@ -613,9 +640,12 @@ class _EventDrivenBatch:
 
         return on_expiry
 
-    def _rescue_check_callback(self, job: Job):
+    def _rescue_check_callback(self, job_id: str):
         def on_check(loop: EventLoop) -> None:
-            if job.status is JobStatus.PENDING:
+            # Looked up when it fires: the job may have finished, and so
+            # left the job table, since the check was scheduled.
+            job = self.controller.jobs.get(job_id)
+            if job is not None and job.status is JobStatus.PENDING:
                 # An extra decision point; ticks are idempotent, so running
                 # one here alongside an outstanding tick event is harmless.
                 self._tick(loop)
@@ -1252,10 +1282,11 @@ class _EventDrivenBatch:
     ) -> None:
         """Sink one terminal result: retain it and/or fold it into telemetry.
 
-        With ``keep_results=False`` the per-job result object is handed to
-        the telemetry sink and then dropped, so a bounded-memory run never
-        materializes the result list; the terminal job record is also
-        released so the Job objects stay O(in-flight) instead of O(jobs).
+        The finished job then leaves the job table, together with its
+        tenant, progress and migration bookkeeping, so the table holds only
+        live jobs.  With ``keep_results=False`` the result object itself is
+        only handed to the telemetry sink, so a bounded-memory run never
+        materializes the result list and stays O(in-flight jobs).
         """
         self._results_recorded += 1
         if self.keep_results:
@@ -1264,12 +1295,10 @@ class _EventDrivenBatch:
             self.telemetry.record_result(
                 result, tenant=self.tenants.get(result.job_id), time=time
             )
-        if not self.keep_results:
-            self.controller.jobs.pop(result.job_id, None)
-            self.tenants.pop(result.job_id, None)
-            self.progress.pop(result.job_id, None)
-            self.migration_attempt_versions.pop(result.job_id, None)
-            self._job_capture_cache.pop(result.job_id, None)
+        self.controller.jobs.pop(result.job_id, None)
+        self.tenants.pop(result.job_id, None)
+        self.progress.pop(result.job_id, None)
+        self.migration_attempt_versions.pop(result.job_id, None)
 
     def _dropped_result(
         self, job: Job, outcome: JobOutcome, dropped_time: float
@@ -1379,50 +1408,21 @@ class _EventDrivenBatch:
                 "rebuilt on resume"
             ) from exc
 
-    def _capture_job(self, job: Job) -> Dict[str, Any]:
-        rebuilt = self._restorable_circuit(job.circuit.name)
-        if (
-            rebuilt.num_qubits != job.circuit.num_qubits
-            or rebuilt.num_two_qubit_gates != job.circuit.num_two_qubit_gates
-        ):
-            raise CheckpointError(
-                f"job {job.job_id}: circuit {job.circuit.name!r} does not "
-                "match the library circuit of the same name, so it cannot "
-                "be rebuilt on resume"
-            )
-        return {
-            "job_id": job.job_id,
-            "circuit": job.circuit.name,
-            "arrival_time": job.arrival_time,
-            "status": job.status.value,
-            "placement": None
-            if job.placement is None
-            else [[qubit, qpu] for qubit, qpu in job.placement.items()],
-            "start_time": job.start_time,
-            "completion_time": job.completion_time,
-            "num_preemptions": job.num_preemptions,
-            "num_migrations": job.num_migrations,
-            "last_preempted_time": job.last_preempted_time,
-            "last_migrated_time": job.last_migrated_time,
-        }
-
     def _capture_jobs(self) -> List[Dict[str, Any]]:
-        """Capture the controller's job table, reusing frozen captures.
-
-        A COMPLETED job never mutates again (nothing un-completes), so its
-        captured form is cached; FAILED is *not* terminal here (a fleet
-        failure may requeue the same Job object back to PENDING), and live
-        jobs mutate freely, so both are re-captured every snapshot.
-        """
-        cache = self._job_capture_cache
+        """Capture the live job table; every circuit must resume by name."""
         captured = []
         for job in self.controller.jobs.values():
-            entry = cache.get(job.job_id)
-            if entry is None:
-                entry = self._capture_job(job)
-                if job.status is JobStatus.COMPLETED:
-                    cache[job.job_id] = entry
-            captured.append(entry)
+            rebuilt = self._restorable_circuit(job.circuit.name)
+            if (
+                rebuilt.num_qubits != job.circuit.num_qubits
+                or rebuilt.num_two_qubit_gates != job.circuit.num_two_qubit_gates
+            ):
+                raise CheckpointError(
+                    f"job {job.job_id}: circuit {job.circuit.name!r} does not "
+                    "match the library circuit of the same name, so it cannot "
+                    "be rebuilt on resume"
+                )
+            captured.append(job.checkpoint_state())
         return captured
 
     def _capture_results(self) -> List[Dict[str, Any]]:
@@ -1434,7 +1434,7 @@ class _EventDrivenBatch:
         """
         captured = self._captured_results
         for result in self.results[len(captured):]:
-            captured.append(self._capture_result(result))
+            captured.append(result.checkpoint_state())
         return list(captured)
 
     @staticmethod
@@ -1460,44 +1460,6 @@ class _EventDrivenBatch:
                 "completed": front.completed,
                 "last_finish": front.last_finish,
             },
-        }
-
-    @staticmethod
-    def _capture_result(result: TenantJobResult) -> Dict[str, Any]:
-        return {
-            "job_id": result.job_id,
-            "circuit_name": result.circuit_name,
-            "arrival_time": result.arrival_time,
-            "placement_time": result.placement_time,
-            "completion_time": result.completion_time,
-            "num_remote_operations": result.num_remote_operations,
-            "num_qpus_used": result.num_qpus_used,
-            "outcome": result.outcome.value,
-            "dropped_time": result.dropped_time,
-            "num_preemptions": result.num_preemptions,
-            "num_migrations": result.num_migrations,
-            "wasted_time": result.wasted_time,
-            "wasted_ops": result.wasted_ops,
-        }
-
-    def _capture_cloud(self) -> Dict[str, Any]:
-        return {
-            "version_base": self.cloud._version_base,
-            "qpus": [
-                {
-                    "qpu_id": qpu.qpu_id,
-                    "computing_capacity": qpu.computing_capacity,
-                    "communication_capacity": qpu.communication_capacity,
-                    "epr_success_probability": qpu.epr_success_probability,
-                    "computing_used": [
-                        [job_id, amount]
-                        for job_id, amount in qpu._computing_used.items()
-                    ],
-                    "communication_used": qpu._communication_used,
-                    "computing_version": qpu._computing_version,
-                }
-                for qpu in self.cloud.qpus.values()
-            ],
         }
 
     def _capture_cursor(self) -> Optional[Dict[str, Any]]:
@@ -1537,23 +1499,14 @@ class _EventDrivenBatch:
             "engine": self.loop.snapshot_state(),
             "rng": self.rng.bit_generator.state,
             "job_counter": self.controller.job_counter,
-            "cloud": self._capture_cloud(),
+            "cloud": self.cloud.checkpoint_state(),
             "jobs": self._capture_jobs(),
             "pending": [job.job_id for job in self.pending],
             "active": [
                 self._capture_active(state) for state in self.active.values()
             ],
             "progress": [
-                [
-                    job_id,
-                    {
-                        "completed_ops": prog.completed_ops,
-                        "elapsed_local": prog.elapsed_local,
-                        "wasted_time": prog.wasted_time,
-                        "wasted_ops": prog.wasted_ops,
-                        "first_placement_time": prog.first_placement_time,
-                    },
-                ]
+                [job_id, prog.checkpoint_state()]
                 for job_id, prog in self.progress.items()
             ],
             "tenants": [
@@ -1618,17 +1571,11 @@ class _EventDrivenBatch:
         if label.startswith("arrive:trace["):
             return self._cursor_callback()
         if label.startswith("arrive:"):
-            return self._arrival_callback(
-                self.controller.jobs[label[len("arrive:"):]]
-            )
+            return self._arrival_callback(self._labelled_job(label))
         if label.startswith("expire:"):
-            return self._expiry_callback(
-                self.controller.jobs[label[len("expire:"):]]
-            )
+            return self._expiry_callback(self._labelled_job(label))
         if label.startswith("preempt-check:"):
-            return self._rescue_check_callback(
-                self.controller.jobs[label[len("preempt-check:"):]]
-            )
+            return self._rescue_check_callback(label[len("preempt-check:"):])
         if label.startswith("calibration-end:"):
             return self._calibration_end_callback(int(label.rsplit(":", 1)[1]))
         if label.startswith("fleet:"):
@@ -1638,30 +1585,15 @@ class _EventDrivenBatch:
             f"cannot re-bind a callback for event label {label!r}"
         )
 
-    def _restore_job(self, saved: Dict[str, Any]) -> Job:
-        return Job(
-            circuit=self._restorable_circuit(saved["circuit"]),
-            job_id=saved["job_id"],
-            arrival_time=float(saved["arrival_time"]),
-            status=JobStatus(saved["status"]),
-            placement=None
-            if saved["placement"] is None
-            else {int(qubit): int(qpu) for qubit, qpu in saved["placement"]},
-            start_time=None
-            if saved["start_time"] is None
-            else float(saved["start_time"]),
-            completion_time=None
-            if saved["completion_time"] is None
-            else float(saved["completion_time"]),
-            num_preemptions=int(saved["num_preemptions"]),
-            num_migrations=int(saved["num_migrations"]),
-            last_preempted_time=None
-            if saved["last_preempted_time"] is None
-            else float(saved["last_preempted_time"]),
-            last_migrated_time=None
-            if saved["last_migrated_time"] is None
-            else float(saved["last_migrated_time"]),
-        )
+    def _labelled_job(self, label: str) -> Job:
+        """The job an ``arrive:``/``expire:`` event label names (restore)."""
+        job = self.controller.jobs.get(label.split(":", 1)[1])
+        if job is None:
+            raise CheckpointError(
+                f"event {label!r} names a job that is not in the snapshot's "
+                "job table"
+            )
+        return job
 
     def _restore_active(self, saved: Dict[str, Any]) -> _ActiveJob:
         job = self.controller.jobs[saved["job_id"]]
@@ -1695,58 +1627,20 @@ class _EventDrivenBatch:
         )
         return state
 
-    def _restore_cloud(self, saved: Dict[str, Any]) -> None:
-        """Rebuild fleet membership and allocations in the captured order.
-
-        Mutates the existing cloud object in place: the controller and the
-        EPR model hold references to it (the EPR model's per-QPU probability
-        hook is a bound method of this exact instance).
-        """
-        qpus: Dict[int, QPU] = {}
-        for entry in saved["qpus"]:
-            qpu = QPU(
-                qpu_id=int(entry["qpu_id"]),
-                computing_capacity=int(entry["computing_capacity"]),
-                communication_capacity=int(entry["communication_capacity"]),
-                epr_success_probability=None
-                if entry["epr_success_probability"] is None
-                else float(entry["epr_success_probability"]),
-            )
-            qpu._computing_used = {
-                job_id: int(amount)
-                for job_id, amount in entry["computing_used"]
-            }
-            qpu._communication_used = int(entry["communication_used"])
-            qpu._computing_version = int(entry["computing_version"])
-            qpus[qpu.qpu_id] = qpu
-        self.cloud.qpus = qpus
-        self.cloud._version_base = int(saved["version_base"])
-        self.cloud._resource_graph_cache = None
-        self.cloud._available_cache = None
-
-    def _restore_state(self, state: Dict[str, Any], telemetry) -> None:
+    def _restore_state(self, state: Dict[str, Any]) -> None:
         """Adopt a full snapshot into this freshly constructed batch."""
         self.controller.job_counter = int(state["job_counter"])
         self.rng.bit_generator.state = state["rng"]
-        self._restore_cloud(state["cloud"])
-        self.controller.jobs.clear()
-        for saved in state["jobs"]:
-            job = self._restore_job(saved)
-            self.controller.jobs[job.job_id] = job
+        self.cloud.restore_state(state["cloud"])
         jobs = self.controller.jobs
+        for saved in state["jobs"]:
+            job = Job.from_state(saved, self._restorable_circuit)
+            jobs[job.job_id] = job
         self.pending = [jobs[job_id] for job_id in state["pending"]]
         self._recompute_min_pending()
         self.progress = {
-            job_id: JobProgress(
-                completed_ops=int(prog["completed_ops"]),
-                elapsed_local=float(prog["elapsed_local"]),
-                wasted_time=float(prog["wasted_time"]),
-                wasted_ops=int(prog["wasted_ops"]),
-                first_placement_time=None
-                if prog["first_placement_time"] is None
-                else float(prog["first_placement_time"]),
-            )
-            for job_id, prog in state["progress"]
+            job_id: JobProgress.from_state(saved)
+            for job_id, saved in state["progress"]
         }
         self.tenants = {job_id: tenant for job_id, tenant in state["tenants"]}
         self.failure_signatures = {
@@ -1792,33 +1686,12 @@ class _EventDrivenBatch:
         )
         self._results_recorded = int(counters["results_recorded"])
         self.results = [
-            TenantJobResult(
-                job_id=saved["job_id"],
-                circuit_name=saved["circuit_name"],
-                arrival_time=float(saved["arrival_time"]),
-                placement_time=float(saved["placement_time"]),
-                completion_time=float(saved["completion_time"]),
-                num_remote_operations=int(saved["num_remote_operations"]),
-                num_qpus_used=int(saved["num_qpus_used"]),
-                outcome=JobOutcome(saved["outcome"]),
-                dropped_time=None
-                if saved["dropped_time"] is None
-                else float(saved["dropped_time"]),
-                num_preemptions=int(saved["num_preemptions"]),
-                num_migrations=int(saved["num_migrations"]),
-                wasted_time=float(saved["wasted_time"]),
-                wasted_ops=int(saved["wasted_ops"]),
-            )
-            for saved in state["results"]
+            TenantJobResult.from_state(saved) for saved in state["results"]
         ]
         if state["telemetry"] is not None:
-            if telemetry is None:
-                raise CheckpointError(
-                    "the snapshot carries telemetry state; pass a fresh "
-                    "Telemetry sink to resume_stream"
-                )
-            telemetry.restore_state(state["telemetry"])
-            self.telemetry = telemetry
+            # The fingerprint check already matched the resume call's sink
+            # against the snapshot's, so one is attached here.
+            self.telemetry.restore_state(state["telemetry"])
         self._pending_record = state["pending_record"]
         if state["cursor"] is not None:
             trace = state["trace"]
@@ -1858,24 +1731,15 @@ class _EventDrivenBatch:
     def _run_loop(self) -> None:
         """Drain the event queue, snapshotting between events if configured.
 
-        With ``checkpoint=None`` on a fresh (non-restored) batch this is the
-        plain :meth:`EventLoop.run` fast path -- literally the pre-checkpoint
-        code -- so arming no checkpoint changes nothing.  Otherwise events
-        are stepped one at a time so snapshots (and the SIGTERM/SIGINT final
-        snapshot) land at safe points *between* events; the max-events budget
-        counts ``processed_events``, which survives a resume, so a resumed
-        run has exactly the budget the uninterrupted run had.
+        Events are stepped one at a time, so snapshots (and the
+        SIGTERM/SIGINT final snapshot) land at safe points *between* events;
+        only a checkpointed run installs the signal handlers and writes
+        snapshots.  The max-events budget counts ``processed_events``, which
+        survives a resume, so a resumed run has exactly the budget the
+        uninterrupted run had.
         """
         max_events = self.simulator.max_events
         config = self._checkpoint
-        if config is None and not self._restored:
-            try:
-                self.loop.run(max_events=max_events)
-            except SimulationError as exc:
-                raise ClusterSimulationError(
-                    f"simulation exceeded {max_events} events"
-                ) from exc
-            return
         handlers: Dict[int, Any] = {}
         if config is not None:
             self._signal_flag = None
@@ -1894,8 +1758,8 @@ class _EventDrivenBatch:
         time_of_snapshot = self.loop.now
         # The loop body runs once per engine event, so attribute lookups
         # are hoisted into locals -- at millions of events per replay the
-        # per-iteration Python overhead is the bulk of the checkpointing
-        # cost (the snapshots themselves amortize to ~nothing).
+        # per-iteration Python overhead is what the driver costs (the
+        # snapshots themselves amortize to ~nothing).
         loop = self.loop
         step = loop.step
         peek = loop.peek
@@ -2274,17 +2138,14 @@ class MultiTenantSimulator:
             (),
             (),
             state["seed"],
-            telemetry=None,
+            telemetry=telemetry,
             keep_results=bool(state["keep_results"]),
             checkpoint=checkpoint,
             trace_info=state["trace"],
             restoring=True,
         )
-        # The fingerprint's has-telemetry flag must reflect the resume call.
-        batch.telemetry = telemetry
         check_fingerprint(envelope["fingerprint"], batch._fingerprint())
-        batch.telemetry = None
-        batch._restore_state(state, telemetry)
+        batch._restore_state(state)
         return batch.execute()
 
     @staticmethod

@@ -428,3 +428,25 @@ class JobProgress:
             self.wasted_ops += completed_ops
             self.completed_ops = 0
             self.elapsed_local = 0.0
+
+    def checkpoint_state(self) -> Dict[str, Any]:
+        """Json-serializable ledger for a checkpoint snapshot."""
+        return {
+            "completed_ops": self.completed_ops,
+            "elapsed_local": self.elapsed_local,
+            "wasted_time": self.wasted_time,
+            "wasted_ops": self.wasted_ops,
+            "first_placement_time": self.first_placement_time,
+        }
+
+    @classmethod
+    def from_state(cls, state: Dict[str, Any]) -> "JobProgress":
+        """Rebuild a ledger from :meth:`checkpoint_state` output."""
+        first = state["first_placement_time"]
+        return cls(
+            completed_ops=int(state["completed_ops"]),
+            elapsed_local=float(state["elapsed_local"]),
+            wasted_time=float(state["wasted_time"]),
+            wasted_ops=int(state["wasted_ops"]),
+            first_placement_time=None if first is None else float(first),
+        )

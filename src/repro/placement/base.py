@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..circuits import CircuitDAG, InteractionGraph, QuantumCircuit
 from ..cloud import QuantumCloud
@@ -161,8 +161,3 @@ def validate_placement(placement: Placement, cloud: QuantumCloud) -> None:
         raise ValueError(f"placement uses unknown QPUs {sorted(unknown)}")
     if not placement.respects_capacity(cloud):
         raise ValueError("placement exceeds per-QPU computing capacity")
-
-
-def assignment_from_parts(parts: Mapping[int, int]) -> Dict[int, int]:
-    """Identity helper kept for symmetry with the partition package."""
-    return dict(parts)

@@ -7,6 +7,7 @@ import signal
 
 import pytest
 
+import repro.multitenant.cluster_sim as cluster_sim
 from repro.circuits.library import ghz
 from repro.cloud import CloudTopology, QuantumCloud
 from repro.multitenant import (
@@ -18,6 +19,7 @@ from repro.multitenant import (
     CheckpointError,
     CheckpointMismatchError,
     MultiTenantSimulator,
+    QueueingDeadline,
     Telemetry,
     check_fingerprint,
     generate_anchor_burst_trace,
@@ -320,6 +322,43 @@ class TestResumeRefusal:
     def test_matching_configuration_resumes(self, stream_snapshot):
         results = _make_sim().resume_stream(stream_snapshot)
         assert results  # ran to completion
+
+    @pytest.mark.parametrize("prefix", ["arrive:", "expire:"])
+    def test_label_of_unknown_job_refused(self, tmp_path, monkeypatch, prefix):
+        """An ``arrive:``/``expire:`` event must name a job in the snapshot's
+        job table; a snapshot where it does not is refused by label."""
+        first = []
+        original_write = cluster_sim.write_snapshot
+
+        def keep_first(path, fingerprint, state):
+            if not first:
+                first.append((fingerprint, json.loads(json.dumps(state))))
+            return original_write(path, fingerprint, state)
+
+        monkeypatch.setattr(cluster_sim, "write_snapshot", keep_first)
+        # One ghz_n20 runs at a time on the 30-qubit cloud, so the first
+        # snapshot has job-2 queued with a deadline and job-3 yet to arrive.
+        _make_sim(admission=QueueingDeadline(1e6)).run_stream(
+            [ghz(20), ghz(20), ghz(20), ghz(5)],
+            [0.0, 0.0, 0.0, 1000.0],
+            seed=3,
+            checkpoint=CheckpointConfig(
+                path=str(tmp_path / "snap.json"), every_jobs=1
+            ),
+        )
+        fingerprint, state = first[0]
+        events = state["engine"]["events"]
+        labels = [event[3] for event in events]
+        index = next(
+            i for i, label in enumerate(labels) if label.startswith(prefix)
+        )
+        events[index][3] = f"{prefix}job-99"
+        broken = str(tmp_path / "broken.json")
+        original_write(broken, fingerprint, state)
+        with pytest.raises(CheckpointError, match=f"{prefix}job-99"):
+            _make_sim(admission=QueueingDeadline(1e6)).resume_stream(
+                broken, checkpoint=None
+            )
 
     def test_checkpointed_trace_needs_path_source(self, tmp_path):
         trace = generate_anchor_burst_trace(

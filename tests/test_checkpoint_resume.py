@@ -226,6 +226,82 @@ class TestResumeBitIdentity:
         assert canonical(scn._make_sim().resume_stream(target)) == scn.baseline
 
 
+class TestBoundedRunResume:
+    """``keep_results=False`` with deadlines and rescue checks, resumed from
+    every snapshot.  A finished job has left the job table, but its
+    ``preempt-check`` event may still be queued; the resume must re-bind
+    it rather than fail to find the job."""
+
+    def test_resume_every_snapshot(self, tmp_path, monkeypatch):
+        topology = CloudTopology.random(num_qpus=4, edge_probability=0.6, seed=2)
+        trace_path = str(tmp_path / "trace.jsonl")
+        write_trace(
+            trace_path,
+            generate_anchor_burst_trace(
+                3, 5, num_qpus=4, anchor="ghz_n24", filler="ghz_n5"
+            ).iter_records(),
+        )
+
+        def make_sim():
+            return MultiTenantSimulator(
+                QuantumCloud(topology, computing_qubits_per_qpu=10),
+                CloudQCPlacement(),
+                CloudQCScheduler(),
+                admission_policy=QueueingDeadline(60.0),
+                preemption_policy=DeadlineRescue(horizon=5.0),
+            )
+
+        def run(events_path, checkpoint=None):
+            telemetry = Telemetry(events=events_path)
+            results = make_sim().run_stream(
+                trace=trace_path,
+                seed=9,
+                telemetry=telemetry,
+                keep_results=False,
+                checkpoint=checkpoint,
+            )
+            telemetry.close()
+            assert results == []
+            return repr(telemetry.summary())
+
+        def read(path):
+            with open(path, "rb") as handle:
+                return handle.read()
+
+        baseline_events = str(tmp_path / "events_base.jsonl")
+        baseline = run(baseline_events)
+
+        snapshots = []
+        original_write = cluster_sim.write_snapshot
+
+        def keep_copy(path, fingerprint, state):
+            size = original_write(path, fingerprint, state)
+            copy = str(tmp_path / f"snap_{len(snapshots)}.json")
+            shutil.copy(path, copy)
+            snapshots.append(copy)
+            return size
+
+        monkeypatch.setattr(cluster_sim, "write_snapshot", keep_copy)
+        events_path = str(tmp_path / "events.jsonl")
+        checkpoint = CheckpointConfig(
+            path=str(tmp_path / "snap.json"), every_jobs=1
+        )
+        assert run(events_path, checkpoint) == baseline
+        monkeypatch.setattr(cluster_sim, "write_snapshot", original_write)
+        full_events = read(events_path)
+        assert full_events == read(baseline_events)
+        assert len(snapshots) == 15
+
+        for snapshot in snapshots:
+            with open(events_path, "wb") as handle:
+                handle.write(full_events)
+            telemetry = Telemetry()
+            assert make_sim().resume_stream(snapshot, telemetry=telemetry) == []
+            telemetry.close()
+            assert repr(telemetry.summary()) == baseline, snapshot
+            assert read(events_path) == full_events, snapshot
+
+
 # ----------------------------------------------------------------------
 # Sketch / reservoir round-trip properties
 # ----------------------------------------------------------------------

@@ -88,6 +88,26 @@ class TestBatchExecution:
         assert all(r.num_remote_operations == 0 for r in results)
         assert all(r.num_qpus_used == 1 for r in results)
 
+    def test_job_table_holds_only_live_jobs(self):
+        """A finished job leaves the controller's table when its result is
+        recorded, also in a run that keeps its result list."""
+        from repro.multitenant.cluster_sim import _EventDrivenBatch
+
+        simulator = make_simulator(
+            contended_cloud(), batch_manager=fifo_batch_manager()
+        )
+        batch = _EventDrivenBatch(
+            simulator,
+            [ghz(24), ghz(8), ghz(24)],
+            [0.0, 0.0, 0.0],
+            seed=3,
+            tenants=["a", "b", "a"],
+        )
+        results = batch.execute()
+        assert [r.job_id for r in results] == ["job-0", "job-1", "job-2"]
+        assert batch.controller.jobs == {}
+        assert batch.tenants == {}
+
 
 class TestGoldenBatchResults:
     """Exact batch-mode numbers, pinned when the simulator moved onto the

@@ -76,14 +76,6 @@ class TestPlacementLifecycle:
         assert small_cloud.total_computing_available() == 16
         assert controller.completed_jobs() == [job]
 
-    def test_fail_releases_resources(self, small_cloud, bell_circuit):
-        controller = Controller(small_cloud)
-        job = controller.submit(bell_circuit)
-        controller.place(job, {0: 0, 1: 0})
-        controller.fail(job)
-        assert job.status is JobStatus.FAILED
-        assert small_cloud.total_computing_available() == 16
-
 
 class TestDropTransition:
     """The unified drop path: release reservations iff the job holds any."""

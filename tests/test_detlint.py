@@ -324,3 +324,29 @@ def test_controller_attribute_drift_is_caught():
     assert any(
         f.rule == "CKPT001" and "scratch" in f.message for f in report.findings
     )
+
+
+def test_job_checkpoint_pair_drift_is_caught():
+    """Job serializes itself: a key its ``checkpoint_state`` writes but its
+    ``from_state`` never reads fails CKPT002, and a new field missing from
+    the pair fails CKPT001."""
+    job_py = REPO_ROOT / "src" / "repro" / "cloud" / "job.py"
+    source = job_py.read_text(encoding="utf-8")
+    assert lint_source(source, "src/repro/cloud/job.py").findings == []
+
+    read_back = (
+        '            last_migrated_time=optional_float(state["last_migrated_time"]),\n'
+    )
+    assert read_back in source
+    report = lint_source(source.replace(read_back, ""), "src/repro/cloud/job.py")
+    assert [(f.rule, "last_migrated_time" in f.message) for f in report.findings] == [
+        ("CKPT002", True)
+    ]
+
+    last_field = "    last_migrated_time: Optional[float] = None\n"
+    assert last_field in source
+    injected = source.replace(last_field, last_field + "    scratch: int = 0\n")
+    report = lint_source(injected, "src/repro/cloud/job.py")
+    assert any(
+        f.rule == "CKPT001" and "scratch" in f.message for f in report.findings
+    )

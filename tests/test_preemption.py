@@ -615,13 +615,23 @@ class TestMidRoundEviction:
         batch = _EventDrivenBatch(
             simulator, [ghz(24), ghz(4)], [0.0, 5.0], seed=1
         )
+        # A finished job leaves the batch's tables when its result is
+        # recorded, so read its ledger at that moment.
+        ledgers = {}
+        record = batch._record_result
+
+        def spy(result, time=None):
+            ledgers[result.job_id] = batch.progress.get(result.job_id)
+            record(result, time)
+
+        batch._record_result = spy
         results = batch.execute()
         assert all(r.completed for r in results)
         big = [r for r in results if r.circuit_name == "ghz_n24"][0]
         assert big.num_preemptions == 1
         # The op was in flight at the eviction instant: nothing banked, so
         # the resumed job re-earns it in a fresh round.
-        assert batch.progress[big.job_id].completed_ops == 0
+        assert ledgers[big.job_id].completed_ops == 0
 
     def test_disabled_policy_never_builds_a_view(self, monkeypatch):
         """The default path must not even construct the decision view: that
